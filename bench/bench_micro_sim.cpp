@@ -52,6 +52,25 @@ void BM_L1InstallEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_L1InstallEvict);
 
+// The L1 miss path's bookkeeping: classify each miss from the block's
+// history, then install it (recording the victim's departure). The
+// stream is uniform over 1M blocks (64 MiB), far beyond the 16-KiB L1,
+// so nearly every reference misses; every block is seen once before
+// timing, as in a long run.
+void BM_L1MissClassify(benchmark::State& state) {
+  L1Cache c(16 * 1024);
+  constexpr Addr kBlocks = Addr(1) << 20;
+  for (Addr b = 0; b < kBlocks; ++b) c.classify_miss(b);
+  Rng rng(5);
+  for (auto _ : state) {
+    const Addr b = rng.next_below(kBlocks);
+    benchmark::DoNotOptimize(c.classify_miss(b));
+    benchmark::DoNotOptimize(c.install(b, L1State::kS));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_L1MissClassify);
+
 void BM_ResourceReserve(benchmark::State& state) {
   Resource r;
   Cycle t = 0;

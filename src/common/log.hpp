@@ -32,8 +32,11 @@ inline std::string assert_msg(const char* m) { return m; }
   } while (0)
 
 #ifdef NDEBUG
+// Names `expr` in an unevaluated operand, so variables used only in
+// debug checks stay "used" without any code being generated.
 #define DSM_DEBUG_ASSERT(expr, ...) \
   do {                              \
+    (void)sizeof(!(expr));          \
   } while (0)
 #else
 #define DSM_DEBUG_ASSERT(expr, ...) DSM_ASSERT(expr, __VA_ARGS__)

@@ -9,11 +9,28 @@
 //   dsm/page_ops.cpp    page migrate/replicate/collapse/relocate
 #include "dsm/cluster.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 
 #include "protocols/policy_engine.hpp"
 
 namespace dsm {
+
+NodeHistory::NodeHistory(std::uint32_t entries) {
+  std::size_t cap = 1;
+  while (cap < entries && cap < (1u << 30)) cap <<= 1;
+  const std::size_t bytes = cap * sizeof(std::uint64_t);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  DSM_ASSERT(p != MAP_FAILED, "node history: mmap failed");
+  mask_ = cap - 1;
+  table_ = {static_cast<std::uint64_t*>(p), Unmap{bytes}};
+}
+
+void NodeHistory::Unmap::operator()(std::uint64_t* p) const {
+  munmap(p, bytes);
+}
 
 const char* to_string(PageMode m) {
   switch (m) {

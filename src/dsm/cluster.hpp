@@ -59,40 +59,45 @@ struct PolicyEvent;
 // stays bounded over arbitrarily long runs. A conflict evicts the old
 // block's history; its next miss then classifies as cold — the same
 // information loss a finite hardware table exhibits.
+//
+// Each entry is one word, ((blk + 1) << 2) | class, with 0 meaning
+// empty (block numbers are below 2^58, so the tag never overflows).
+// The table is mapped from zero pages the OS fills on first touch:
+// construction writes nothing, and a node that misses on few blocks
+// keeps only the pages those blocks index resident.
 class NodeHistory {
  public:
-  explicit NodeHistory(std::uint32_t entries = 1u << 16) {
-    std::uint32_t cap = 1;
-    while (cap < entries && cap < (1u << 30)) cap <<= 1;
-    table_.resize(cap);
-  }
+  explicit NodeHistory(std::uint32_t entries = 1u << 16);
 
   MissClass classify(Addr blk) {
-    Entry& e = table_[index(blk)];
-    if (!e.valid || e.tag != blk) {
-      e = Entry{blk, MissClass::kCapacity, true};
+    std::uint64_t& e = table_[index(blk)];
+    const std::uint64_t tag = tag_of(blk);
+    if ((e & ~kClassMask) != tag) {
+      e = tag | std::uint64_t(MissClass::kCapacity);
       return MissClass::kCold;
     }
-    return e.cls;
+    return MissClass(e & kClassMask);
   }
   void mark(Addr blk, MissClass c) {
-    table_[index(blk)] = Entry{blk, c, true};
+    table_[index(blk)] = tag_of(blk) | std::uint64_t(c);
   }
 
-  std::size_t capacity() const { return table_.size(); }
+  std::size_t capacity() const { return mask_ + 1; }
 
  private:
-  struct Entry {
-    Addr tag = 0;
-    MissClass cls = MissClass::kCapacity;
-    bool valid = false;
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(std::uint64_t* p) const;
   };
+  static constexpr std::uint64_t kClassMask = 3;
+  static std::uint64_t tag_of(Addr blk) { return (blk + 1) << 2; }
   std::size_t index(Addr blk) const {
     // Mix the upper bits so same-set blocks of distant pages spread out.
     const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
-    return std::size_t(h) & (table_.size() - 1);
+    return std::size_t(h) & mask_;
   }
-  std::vector<Entry> table_;
+  std::size_t mask_ = 0;
+  std::unique_ptr<std::uint64_t[], Unmap> table_;
 };
 
 class DsmSystem : public MemorySystem {

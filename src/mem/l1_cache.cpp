@@ -15,6 +15,19 @@ const char* to_string(L1State s) {
   return "?";
 }
 
+std::uint64_t* MissHistory::add_chunk(Addr c) {
+  if (c >= dir_.size()) dir_.resize(std::size_t(c) + 1);
+  dir_[c] = std::make_unique<std::uint64_t[]>(kChunkWords);
+  return dir_[c].get();
+}
+
+std::size_t MissHistory::bytes() const {
+  std::size_t n = dir_.capacity() * sizeof(dir_[0]);
+  for (const auto& chunk : dir_)
+    if (chunk) n += kChunkWords * sizeof(std::uint64_t);
+  return n;
+}
+
 L1Cache::L1Cache(std::uint64_t bytes) {
   DSM_ASSERT(bytes >= kBlockBytes && (bytes % kBlockBytes) == 0);
   n_sets_ = std::uint32_t(bytes / kBlockBytes);
@@ -40,7 +53,7 @@ L1Cache::Victim L1Cache::install(Addr blk, L1State state) {
     v.valid = true;
     v.blk = ln.blk;
     v.state = ln.state;
-    next_miss_class_.put(ln.blk, MissClass::kCapacity);
+    history_.mark(ln.blk, MissClass::kCapacity);
   }
   ln.blk = blk;
   ln.state = state;
@@ -51,7 +64,7 @@ void L1Cache::invalidate(Addr blk, MissClass reason) {
   Line* ln = probe(blk);
   if (!ln) return;
   ln->state = L1State::kI;
-  next_miss_class_.put(blk, reason);
+  history_.mark(blk, reason);
 }
 
 void L1Cache::downgrade_to_shared(Addr blk) {
@@ -64,13 +77,6 @@ void L1Cache::set_state(Addr blk, L1State s) {
   Line* ln = probe(blk);
   DSM_ASSERT(ln != nullptr, "set_state on absent block");
   ln->state = s;
-}
-
-MissClass L1Cache::classify_miss(Addr blk) {
-  MissClass* cls = nullptr;
-  if (next_miss_class_.put_if_absent(blk, MissClass::kCapacity, &cls))
-    return MissClass::kCold;
-  return *cls;
 }
 
 }  // namespace dsm

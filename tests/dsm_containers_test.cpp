@@ -1,4 +1,5 @@
-// Unit tests: block cache, S-COMA page cache, directory, page table.
+// Unit tests: block cache, S-COMA page cache, directory, page table,
+// node miss history.
 // (Interconnect fabric timing and accounting live in fabric_test.cpp.)
 #include <gtest/gtest.h>
 
@@ -6,7 +7,9 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "dsm/block_cache.hpp"
+#include "dsm/cluster.hpp"
 #include "dsm/directory.hpp"
 #include "dsm/page_cache.hpp"
 #include "dsm/page_table.hpp"
@@ -301,6 +304,74 @@ TEST(PageTable, WideModeVectorRoundTrips) {
   EXPECT_EQ(pi.mode[1], PageMode::kUnmapped);
   EXPECT_EQ(pi.mode[65], PageMode::kUnmapped);
   EXPECT_EQ(pi.mode[1022], PageMode::kUnmapped);
+}
+
+// Reference node history: unpacked 16-byte {tag, class, valid} entries
+// in a value-initialised table behind the same direct-mapped index.
+class RefNodeHistory {
+ public:
+  explicit RefNodeHistory(std::uint32_t entries) {
+    std::uint32_t cap = 1;
+    while (cap < entries && cap < (1u << 30)) cap <<= 1;
+    table_.resize(cap);
+  }
+  MissClass classify(Addr blk) {
+    Entry& e = table_[index(blk)];
+    if (!e.valid || e.tag != blk) {
+      e = Entry{blk, MissClass::kCapacity, true};
+      return MissClass::kCold;
+    }
+    return e.cls;
+  }
+  void mark(Addr blk, MissClass c) {
+    table_[index(blk)] = Entry{blk, c, true};
+  }
+
+ private:
+  struct Entry {
+    Addr tag = 0;
+    MissClass cls = MissClass::kCapacity;
+    bool valid = false;
+  };
+  std::size_t index(Addr blk) const {
+    const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
+    return std::size_t(h) & (table_.size() - 1);
+  }
+  std::vector<Entry> table_;
+};
+
+TEST(NodeHistory, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(NodeHistory(64).capacity(), 64u);
+  EXPECT_EQ(NodeHistory(65).capacity(), 128u);
+  EXPECT_EQ(NodeHistory().capacity(), std::size_t(1) << 16);
+}
+
+// A 64-entry table over a few thousand blocks: nearly every classify
+// lands on an entry another block owns, so collision eviction is
+// exercised constantly. Block 0 (tag 0 in the reference) and sparse
+// high blocks are in the mix.
+TEST(NodeHistory, PackedMatchesUnpackedUnderCollisions) {
+  for (std::uint64_t seed : {5u, 6u, 7u}) {
+    NodeHistory h(64);
+    RefNodeHistory ref(64);
+    Rng rng(seed);
+    for (int i = 0; i < 200'000; ++i) {
+      Addr b;
+      switch (rng.next_below(3)) {
+        case 0: b = rng.next_below(4096); break;
+        case 1: b = rng.next_below(8); break;  // includes block 0
+        default: b = (rng.next_u64() >> 6) & ~Addr(63); break;
+      }
+      if (rng.next_below(2)) {
+        ASSERT_EQ(h.classify(b), ref.classify(b))
+            << "seed " << seed << " op " << i << " blk " << b;
+      } else {
+        const MissClass c = MissClass(rng.next_below(3));
+        h.mark(b, c);
+        ref.mark(b, c);
+      }
+    }
+  }
 }
 
 }  // namespace

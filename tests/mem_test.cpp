@@ -1,6 +1,10 @@
 // Unit tests: L1 cache (MOESI states, miss classification), resources.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "mem/l1_cache.hpp"
 #include "mem/resource.hpp"
 
@@ -159,6 +163,106 @@ TEST_P(L1SweepTest, SweepLeavesResidueAndCapacityHistory) {
 
 INSTANTIATE_TEST_SUITE_P(Sweeps, L1SweepTest,
                          ::testing::Values(1, 17, 255, 256, 257, 1024, 5000));
+
+// ---- miss history: the dense 2-bit table against a hashed reference ----
+
+// Reference history: a hashed map, absent = never seen; first touch
+// records kCapacity and reports kCold.
+struct RefHistory {
+  std::unordered_map<Addr, MissClass> m;
+  MissClass classify(Addr blk) {
+    auto [it, fresh] = m.try_emplace(blk, MissClass::kCapacity);
+    return fresh ? MissClass::kCold : it->second;
+  }
+};
+
+// Block 0, both sides of chunk boundaries, and sparse high blocks that
+// leave most of the directory empty.
+const Addr kEdgeBlocks[] = {
+    0,    1,    31,    32,    4095,  4096,
+    4097, 8191, 8192,  12287, 12288, 0xdeadbeefull >> 6,
+    (0xdeadbeefull >> 6) + 1, Addr(1) << 30};
+
+TEST(MissHistory, ChunkBoundarySweep) {
+  MissHistory h;
+  RefHistory ref;
+  // Mark every third block of a span crossing three chunk boundaries,
+  // then classify the whole span: unmarked blocks are cold, marked ones
+  // return their class, and neighbours within a word do not interfere.
+  constexpr Addr kSpan = 3 * 4096 + 100;
+  for (Addr b = 0; b < kSpan; b += 3) {
+    const MissClass c = MissClass((b / 3) % 3);
+    h.mark(b, c);
+    ref.m[b] = c;
+  }
+  for (Addr b = 0; b < kSpan; ++b)
+    ASSERT_EQ(h.classify(b), ref.classify(b)) << "blk " << b;
+  for (Addr b = 0; b < kSpan; ++b)
+    ASSERT_EQ(h.classify(b), ref.classify(b)) << "blk " << b;
+}
+
+TEST(MissHistory, SparseHighBlocksAllocateOnlyTheirChunks) {
+  MissHistory h;
+  const std::size_t empty = h.bytes();
+  EXPECT_EQ(h.classify(0xdeadbeefull >> 6), MissClass::kCold);
+  EXPECT_EQ(h.classify(0xdeadbeefull >> 6), MissClass::kCapacity);
+  const std::size_t one = h.bytes();
+  EXPECT_GT(one, empty);
+  // A second block of the same chunk costs nothing more.
+  h.mark((0xdeadbeefull >> 6) + 1, MissClass::kCoherence);
+  EXPECT_EQ(h.bytes(), one);
+  EXPECT_EQ(h.classify((0xdeadbeefull >> 6) + 1), MissClass::kCoherence);
+  EXPECT_EQ(h.classify(0), MissClass::kCold);
+}
+
+// Seeded random classify / install / invalidate streams through the
+// L1 itself. The reference history is updated from what the cache
+// reports (victims, residency), exactly where the cache records a
+// departure, so every classification must agree.
+TEST(MissHistory, DifferentialVsUnorderedMapThroughL1) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    L1Cache c(4 * 1024);  // 64 sets: evictions are frequent
+    RefHistory ref;
+    Rng rng(seed);
+    std::vector<Addr> named;
+    auto pick = [&]() -> Addr {
+      switch (rng.next_below(4)) {
+        case 0:  // dense, low
+          return rng.next_below(512);
+        case 1:  // within 64 blocks of a chunk boundary
+          return 4096 * (1 + rng.next_below(3)) - 64 + rng.next_below(128);
+        case 2:
+          return kEdgeBlocks[rng.next_below(std::size(kEdgeBlocks))];
+        default:  // sparse over 2^24 blocks
+          return rng.next_below(Addr(1) << 24);
+      }
+    };
+    for (int i = 0; i < 200'000; ++i) {
+      const Addr b = pick();
+      named.push_back(b);
+      switch (rng.next_below(3)) {
+        case 0:
+          ASSERT_EQ(c.classify_miss(b), ref.classify(b))
+              << "seed " << seed << " op " << i << " blk " << b;
+          break;
+        case 1: {
+          const L1Cache::Victim v =
+              c.install(b, rng.next_below(2) ? L1State::kS : L1State::kM);
+          if (v.valid) ref.m[v.blk] = MissClass::kCapacity;
+          break;
+        }
+        default: {
+          const MissClass reason = rng.next_below(2) ? MissClass::kCoherence
+                                                     : MissClass::kCapacity;
+          if (c.probe(b)) ref.m[b] = reason;
+          c.invalidate(b, reason);
+          break;
+        }
+      }
+    }
+    for (Addr b : named) ASSERT_EQ(c.classify_miss(b), ref.classify(b));
+  }
+}
 
 }  // namespace
 }  // namespace dsm
