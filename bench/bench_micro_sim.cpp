@@ -1,15 +1,15 @@
 // Simulator micro-benchmarks (google-benchmark): throughput of the hot
 // building blocks — L1 probes, flat-table lookups (directory, page
 // table, counter cache, policy-event dispatch), resource reservations,
-// coroutine stepping through the engine, full end-to-end access
-// processing on each system kind, and complete default-scale workload
-// runs. Useful for keeping the simulator fast enough that the
-// paper-scale runs stay tractable.
+// the mesh wire walk, coroutine stepping through the engine, full
+// end-to-end access processing on each system kind, and complete
+// default-scale workload runs. Useful for keeping the simulator fast
+// enough that the paper-scale runs stay tractable.
 //
 // Every benchmark reports items_per_second (= simulated events per
-// second), so
+// second), so the command line
 //
-//   bench_micro_sim --benchmark_out=BENCH_sim_throughput.json \
+//   bench_micro_sim --benchmark_out=BENCH_sim_throughput.json
 //                   --benchmark_out_format=json
 //
 // emits the machine-readable throughput trajectory CI archives (the
@@ -22,6 +22,7 @@
 #include "harness/runner.hpp"
 #include "mem/l1_cache.hpp"
 #include "mem/resource.hpp"
+#include "net/fabric.hpp"
 #include "protocols/policy_engine.hpp"
 #include "protocols/system_factory.hpp"
 #include "sim/engine.hpp"
@@ -81,6 +82,30 @@ void BM_ResourceReserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ResourceReserve);
+
+// Mesh wire walk: a 64-node 8x8 mesh with link contention, fault-wrapped
+// with one node crash window (folded into that router's links), and
+// injectable sends departing after the window — the radix-mesh64-chaos
+// routing mix. Items = messages.
+void BM_MeshTraverse(benchmark::State& state) {
+  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
+  cfg.nodes = 64;
+  cfg.fabric = FabricKind::kMesh2d;
+  cfg.faults.node_downs.push_back({5, 20'000'000, 60'000'000});
+  Stats stats(cfg.nodes);
+  auto net = make_fabric(cfg, &stats);
+  Rng rng(18);
+  Cycle t = 60'000'000;
+  for (auto _ : state) {
+    const NodeId src = NodeId(rng.next_below(cfg.nodes));
+    const NodeId dst = NodeId((src + 1 + rng.next_below(cfg.nodes - 1)) %
+                              cfg.nodes);
+    t += 2;
+    benchmark::DoNotOptimize(net->send_ex(Message::data(src, dst, t), t));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MeshTraverse);
 
 // --- flat-table hot paths --------------------------------------------------
 

@@ -155,11 +155,22 @@ Cycle MeshFabric::cross(std::uint32_t router, LinkDir d, const Message& m,
                         Cycle occ, Cycle t) {
   MeshLink& l = links_[router * std::uint32_t(LinkDir::kCount) +
                        std::uint32_t(d)];
-  while (!l.inflight.empty() && l.inflight.front() <= t) l.inflight.pop_front();
+  while (l.depth > 0 && l.ring[l.head] <= t) {
+    l.head = (l.head + 1) & std::uint32_t(l.ring.size() - 1);
+    l.depth--;
+  }
   const Cycle start = l.res.reserve(t, occ);
-  l.inflight.push_back(start + occ);
-  l.max_queue_depth =
-      std::max(l.max_queue_depth, std::uint32_t(l.inflight.size()));
+  if (l.depth == l.ring.size()) {
+    // Full (or never used): double, unrolling the ring to start at 0.
+    std::vector<Cycle> grown(std::max<std::size_t>(8, 2 * l.ring.size()));
+    for (std::uint32_t i = 0; i < l.depth; ++i)
+      grown[i] = l.ring[(l.head + i) & (l.ring.size() - 1)];
+    l.ring.swap(grown);
+    l.head = 0;
+  }
+  l.ring[(l.head + l.depth) & (l.ring.size() - 1)] = start + occ;
+  l.depth++;
+  l.max_queue_depth = std::max(l.max_queue_depth, l.depth);
   l.msgs++;
   l.bytes += m.total_bytes();
   if (stats() && router < stats()->node.size()) {
@@ -182,6 +193,13 @@ LinkDir reverse_dir(LinkDir d) {
     case LinkDir::kCount: break;
   }
   return LinkDir::kCount;
+}
+
+// One step along a grid axis of `size` positions, wrapping at the ends
+// (only the torus route ever reaches them).
+std::uint32_t grid_step(std::uint32_t c, bool forward, std::uint32_t size) {
+  if (forward) return c + 1 == size ? 0 : c + 1;
+  return c == 0 ? size - 1 : c - 1;
 }
 }  // namespace
 
@@ -230,19 +248,38 @@ Cycle MeshFabric::traverse(const Message& m, Cycle depart) {
   const Cycle occ = link_contention_enabled() ? link_occupancy(m) : 0;
   std::uint32_t cur = m.src;
   Cycle t = depart;
+  unsigned taken = 0;
+  LinkDir back = LinkDir::kCount;
+  // Quiet window: every link is up before `quiet`, where pick_step()
+  // would return the dimension-order step each hop — never the reverse
+  // of the previous one, and in one fixed direction per dimension. Walk
+  // that route directly, stepping grid coordinates instead of dividing
+  // the router id.
+  const Cycle quiet = gated ? fault_plan_->links_up_until(depart) : kNeverCycle;
+  std::uint32_t x = m.src % width_, y = m.src / width_;
+  const std::uint32_t xd = m.dst % width_, yd = m.dst / width_;
+  const LinkDir dx = step_dir(x, xd, width_, /*x_dim=*/true);
+  const LinkDir dy = step_dir(y, yd, height_, /*x_dim=*/false);
+  while (cur != m.dst && t < quiet) {
+    const bool in_x = x != xd;
+    const LinkDir d = in_x ? dx : dy;
+    ++taken;
+    t = hop(cur, d, m, occ, t);
+    back = reverse_dir(d);
+    if (in_x)
+      x = grid_step(x, d == LinkDir::kEast, width_);
+    else
+      y = grid_step(y, d == LinkDir::kSouth, height_);
+    cur = y * width_ + x;
+  }
   // Detours cannot exceed a perimeter walk of the grid; past this the
   // route is livelocked around moving outages — treat it as lost.
   const unsigned budget = 4 * (width_ + height_) + 8;
-  unsigned taken = 0;
-  LinkDir back = LinkDir::kCount;
   while (cur != m.dst) {
     if (++taken > budget) return kNeverCycle;
     const LinkDir d = pick_step(cur, m.dst, back, t);
     if (d == LinkDir::kCount) return kNeverCycle;
-    if (link_contention_enabled())
-      t = cross(cur, d, m, occ, t);
-    else
-      t += timing().mesh_hop_latency;
+    t = hop(cur, d, m, occ, t);
     back = reverse_dir(d);
     cur = neighbor(cur, d);
     DSM_DEBUG_ASSERT(cur != kNoRouter, "route fell off the mesh");

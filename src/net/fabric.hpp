@@ -39,7 +39,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -211,10 +210,15 @@ const char* to_string(LinkDir d);
 // occupancy statistics the contention study reports.
 struct MeshLink {
   Resource res;
-  std::deque<Cycle> inflight;  // finish times of messages holding/awaiting
+  // Finish times of the messages holding or awaiting the link, oldest
+  // at `head`: a power-of-two ring, doubled when full. The channel is
+  // FIFO, so finish times never decrease and expiry pops the front.
+  std::vector<Cycle> ring;
+  std::uint32_t head = 0;
+  std::uint32_t depth = 0;
   std::uint64_t msgs = 0;
   std::uint64_t bytes = 0;          // sum of total_bytes per traversal
-  std::uint32_t max_queue_depth = 0;  // peak inflight count, self included
+  std::uint32_t max_queue_depth = 0;  // peak depth, self included
 };
 
 // 2D mesh with X-Y (dimension-order) routing. Wire latency is the
@@ -280,11 +284,16 @@ class MeshFabric : public Fabric {
   std::uint32_t max_queue_depth_into(std::uint32_t router) const;
 
   // Fault-aware routing: when a plan with link outages is installed,
-  // traverse() walks hop by hop and detours around dead links (minimal
-  // adaptive routing: the dimension-order step is preferred, the other
-  // productive dimension next, then any live detour; immediate
-  // backtracking only as a last resort). With no plan — or while the
-  // plan is suspended — the walk reproduces the X-Y route bit-exactly.
+  // traverse() asks it once per message for the quiet window — the
+  // first cycle at or after departure at which any link may be down
+  // (FaultPlan::links_up_until). While the head is still inside that
+  // window every link is up, so the message follows the X-Y route
+  // directly. From the first hop that starts at or past the window's
+  // end, the rest of the route is chosen hop by hop around dead links
+  // (minimal adaptive routing: the dimension-order step is preferred,
+  // the other productive dimension next, then any live detour;
+  // immediate backtracking only as a last resort). With no plan — or
+  // while the plan is suspended — the window never ends.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
 
  protected:
@@ -300,6 +309,13 @@ class MeshFabric : public Fabric {
   // `t`; returns the time the message head reaches the next router.
   Cycle cross(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
               Cycle t);
+  // One hop of the head out of `router` toward `d` at time `t`: a link
+  // crossing under contention, else a bare hop latency.
+  Cycle hop(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
+            Cycle t) {
+    return link_contention_enabled() ? cross(router, d, m, occ, t)
+                                     : t + timing().mesh_hop_latency;
+  }
   unsigned dim_hops(std::uint32_t a, std::uint32_t b,
                     std::uint32_t size) const {
     const unsigned d = unsigned(a > b ? a - b : b - a);

@@ -66,16 +66,15 @@ FaultPlan::FaultPlan(const FaultConfig& cfg, std::uint32_t nodes,
   link_outages_.resize(nlinks);
   for (const FaultConfig::LinkDown& ld : cfg_.link_downs) {
     DSM_ASSERT(ld.router < routers && ld.dir < 4, "link-down out of range");
-    link_outages_[std::size_t(ld.router) * 4 + ld.dir].push_back(
-        Outage{ld.down, ld.up});
+    add_outage(std::size_t(ld.router) * 4 + ld.dir, ld.down, ld.up);
   }
   Rng gen = Rng::for_stream(cfg_.seed, kLinkStream);
   for (std::uint32_t i = 0; i < cfg_.rand_link_downs; ++i) {
     const std::uint32_t router = std::uint32_t(gen.next_below(routers));
     const std::uint32_t dir = std::uint32_t(gen.next_below(4));
     const Cycle down = gen.next_below(cfg_.rand_link_down_horizon);
-    link_outages_[std::size_t(router) * 4 + dir].push_back(
-        Outage{down, down + cfg_.rand_link_down_len});
+    add_outage(std::size_t(router) * 4 + dir, down,
+               down + cfg_.rand_link_down_len);
   }
   for (const auto& v : link_outages_)
     if (!v.empty()) has_link_faults_ = true;
@@ -120,8 +119,34 @@ void FaultPlan::add_link_outage(std::uint32_t router, LinkDir d, Cycle down,
   const std::size_t idx =
       std::size_t(router) * std::size_t(LinkDir::kCount) + std::size_t(d);
   DSM_ASSERT(idx < link_outages_.size(), "link outage out of range");
-  link_outages_[idx].push_back(Outage{down, up});
+  add_outage(idx, down, up);
   has_link_faults_ = true;
+}
+
+void FaultPlan::add_outage(std::size_t link, Cycle down, Cycle up) {
+  link_outages_[link].push_back(Outage{down, up});
+  if (down >= up) return;  // an empty window never takes a link down
+  // Fold [down, up) into the spans it overlaps or touches: every span
+  // before `first` ends before `down`, and the run up to `last` starts
+  // at or before `up`.
+  auto first = std::lower_bound(
+      down_spans_.begin(), down_spans_.end(), down,
+      [](const Outage& o, Cycle c) { return o.up < c; });
+  auto last = first;
+  for (; last != down_spans_.end() && last->down <= up; ++last) {
+    down = std::min(down, last->down);
+    up = std::max(up, last->up);
+  }
+  down_spans_.insert(down_spans_.erase(first, last), Outage{down, up});
+}
+
+Cycle FaultPlan::links_up_until(Cycle t) const {
+  if (suspend_ > 0) return kNeverCycle;
+  // The first span still open after t.
+  const auto it = std::upper_bound(
+      down_spans_.begin(), down_spans_.end(), t,
+      [](Cycle c, const Outage& o) { return c < o.up; });
+  return it == down_spans_.end() ? kNeverCycle : std::max(t, it->down);
 }
 
 bool FaultPlan::link_down(std::uint32_t router, LinkDir d, Cycle t) const {

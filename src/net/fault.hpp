@@ -14,9 +14,13 @@
 //
 //   - Directed-link outages (router, direction, [down, up) cycle
 //     interval) for the mesh/torus fabrics, from an explicit list plus
-//     optionally a seeded batch drawn from stream 0x20000. MeshFabric
-//     consults the plan per hop and detours around dead links
-//     (fabric.cpp pick_step), counting reroutes.
+//     optionally a seeded batch drawn from stream 0x20000. The plan
+//     also keeps the union of all outages as sorted, disjoint spans,
+//     so MeshFabric asks once per message how long every link stays
+//     up (links_up_until) and walks the plain X-Y route until then;
+//     only from that cycle on does it consult the plan per hop and
+//     detour around dead links (fabric.cpp pick_step), counting
+//     reroutes.
 //
 //   - Whole-node crash windows ([down, up) per node), from an explicit
 //     list plus optionally a seeded batch drawn from stream 0x30000. A
@@ -71,6 +75,10 @@ class FaultPlan {
   // fabric were perfect.
   bool has_link_faults() const { return has_link_faults_; }
   bool link_down(std::uint32_t router, LinkDir d, Cycle t) const;
+  // First cycle >= t at which any link may be down: t itself while an
+  // outage is live at t, kNeverCycle while the plan is suspended or
+  // when no outage lies ahead. Every link is up in [t, result).
+  Cycle links_up_until(Cycle t) const;
 
   // Node-crash queries (never suspension-gated; see the header comment).
   bool has_node_faults() const { return has_node_faults_; }
@@ -108,6 +116,9 @@ class FaultPlan {
     Cycle up;
   };
 
+  // Records one outage in link_outages_ and in the union down_spans_.
+  void add_outage(std::size_t link, Cycle down, Cycle up);
+
   FaultConfig cfg_;
   // Disjoint outcome thresholds over the 53-bit draw:
   //   [0, drop_below_)         -> drop
@@ -118,6 +129,9 @@ class FaultPlan {
   std::uint64_t delay_below_ = 0;
   std::vector<Rng> src_rng_;                       // per source node
   std::vector<std::vector<Outage>> link_outages_;  // router*4 + dir
+  // Union of every non-empty link outage: sorted, disjoint and
+  // non-adjacent, so the `up` ends are sorted too.
+  std::vector<Outage> down_spans_;
   std::vector<FaultConfig::NodeDown> node_downs_;  // crash windows
   bool has_link_faults_ = false;
   bool has_node_faults_ = false;

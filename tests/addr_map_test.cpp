@@ -136,7 +136,9 @@ TEST(AddrMap, DifferentialVsUnorderedMap) {
       bool first = true;
       std::size_t seen = 0;
       m.for_each([&](Addr key, std::uint64_t& val) {
-        if (!first) EXPECT_LT(prev, key);
+        if (!first) {
+          EXPECT_LT(prev, key);
+        }
         prev = key;
         first = false;
         seen++;

@@ -17,7 +17,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -25,6 +27,7 @@
 #include "common/stats.hpp"
 #include "dsm/cluster.hpp"
 #include "harness/runner.hpp"
+#include "mem/resource.hpp"
 #include "net/fabric.hpp"
 #include "net/fault.hpp"
 #include "protocols/system_factory.hpp"
@@ -299,6 +302,410 @@ TEST(MeshReroute, WalledInCornerLosesTheMessage) {
   const Message m = Message::control(MsgKind::kGetS, 0, 3, 0);
   const Delivery d = net->send_ex(m, 1000);
   EXPECT_FALSE(d.delivered);  // upper layer treats this as a loss
+}
+
+// ---------------------------------------------------------------------------
+// Quiet-window routing: FaultPlan span union and a differential check of
+// MeshFabric::traverse against the hop-by-hop reference walk
+// ---------------------------------------------------------------------------
+
+TEST(FaultPlanSpans, MergesOutagesAndBoundsTheQuietWindow) {
+  FaultConfig fc;
+  const auto down = [&](std::uint32_t router, LinkDir d, Cycle a, Cycle b) {
+    fc.link_downs.push_back({router, std::uint8_t(d), a, b});
+  };
+  down(0, LinkDir::kEast, 100, 200);
+  down(1, LinkDir::kWest, 150, 300);   // overlaps the first
+  down(2, LinkDir::kSouth, 300, 400);  // adjacent to the second
+  down(3, LinkDir::kNorth, 500, 500);  // empty: never down
+  down(4, LinkDir::kEast, 700, 650);   // inverted: never down
+  down(5, LinkDir::kWest, 900, 1000);
+  FaultPlan plan(fc, 16, 16);
+  ASSERT_TRUE(plan.has_link_faults());
+
+  // Union: [100, 400) and [900, 1000).
+  EXPECT_EQ(plan.links_up_until(0), 100u);
+  EXPECT_EQ(plan.links_up_until(99), 100u);
+  EXPECT_EQ(plan.links_up_until(100), 100u);
+  EXPECT_EQ(plan.links_up_until(199), 199u);
+  EXPECT_EQ(plan.links_up_until(200), 200u);  // the second link is down
+  EXPECT_EQ(plan.links_up_until(300), 300u);  // the third takes over
+  EXPECT_EQ(plan.links_up_until(399), 399u);
+  EXPECT_EQ(plan.links_up_until(400), 900u);  // the empty windows do not count
+  EXPECT_EQ(plan.links_up_until(500), 900u);
+  EXPECT_EQ(plan.links_up_until(999), 999u);
+  EXPECT_EQ(plan.links_up_until(1000), kNeverCycle);
+  {
+    FaultPlan::SuspendScope reliable(&plan);
+    EXPECT_EQ(plan.links_up_until(150), kNeverCycle);
+  }
+  EXPECT_EQ(plan.links_up_until(150), 150u);
+
+  // Late outages fold into the union: one bridging the gap merges all
+  // three spans, a permanent one never ends.
+  plan.add_link_outage(6, LinkDir::kEast, 400, 900);
+  EXPECT_EQ(plan.links_up_until(0), 100u);
+  EXPECT_EQ(plan.links_up_until(650), 650u);
+  EXPECT_EQ(plan.links_up_until(1000), kNeverCycle);
+  plan.add_link_outage(7, LinkDir::kSouth, 2000, kNeverCycle);
+  EXPECT_EQ(plan.links_up_until(1000), 2000u);
+  EXPECT_EQ(plan.links_up_until(5000), 5000u);
+
+  // The bound agrees with link_down() everywhere: t itself exactly when
+  // some link is down at t, and no link down before it otherwise.
+  for (Cycle t = 0; t < 2100; ++t) {
+    bool any = false;
+    for (std::uint32_t r = 0; r < 16; ++r)
+      for (std::uint8_t d = 0; d < 4; ++d)
+        any |= plan.link_down(r, LinkDir(d), t);
+    EXPECT_EQ(plan.links_up_until(t) == t, any) << "t=" << t;
+  }
+}
+
+// The hop-by-hop walk every message took before the quiet window
+// existed: pick_step() on every hop, link queues as deques. Kept here
+// verbatim as the reference the fast path must reproduce bit-exactly.
+class ReferenceMesh {
+ public:
+  struct Link {
+    Resource res;
+    std::deque<Cycle> inflight;
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+    std::uint32_t max_queue_depth = 0;
+  };
+
+  ReferenceMesh(std::uint32_t nodes, std::uint32_t width, bool wrap,
+                const TimingConfig& t, Stats* stats, const FaultPlan* plan)
+      : t_(t), stats_(stats), plan_(plan), width_(width),
+        height_(nodes / width), wrap_(wrap), links_(std::size_t(nodes) * 4) {}
+
+  const Link& link(std::uint32_t router, LinkDir d) const {
+    return links_[router * 4 + std::uint32_t(d)];
+  }
+
+  Cycle traverse(const Message& m, Cycle depart) {
+    const bool contended = t_.mesh_link_bytes_per_cycle > 0;
+    const bool gated = plan_ != nullptr && plan_->has_link_faults();
+    if (!contended && !gated)
+      return depart + hops(m.src, m.dst) * t_.mesh_hop_latency;
+    const std::uint32_t bw = t_.mesh_link_bytes_per_cycle;
+    const Cycle occ =
+        contended ? std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw) : 0;
+    std::uint32_t cur = m.src;
+    Cycle t = depart;
+    const unsigned budget = 4 * (width_ + height_) + 8;
+    unsigned taken = 0;
+    LinkDir back = LinkDir::kCount;
+    while (cur != m.dst) {
+      if (++taken > budget) return kNeverCycle;
+      const LinkDir d = pick_step(cur, m.dst, back, t);
+      if (d == LinkDir::kCount) return kNeverCycle;
+      if (contended)
+        t = cross(cur, d, m, occ, t);
+      else
+        t += t_.mesh_hop_latency;
+      back = reverse(d);
+      cur = neighbor(cur, d);
+    }
+    return t;
+  }
+
+ private:
+  static LinkDir reverse(LinkDir d) {
+    switch (d) {
+      case LinkDir::kEast: return LinkDir::kWest;
+      case LinkDir::kWest: return LinkDir::kEast;
+      case LinkDir::kSouth: return LinkDir::kNorth;
+      case LinkDir::kNorth: return LinkDir::kSouth;
+      case LinkDir::kCount: break;
+    }
+    return LinkDir::kCount;
+  }
+  unsigned dim_hops(std::uint32_t a, std::uint32_t b,
+                    std::uint32_t size) const {
+    const unsigned d = unsigned(a > b ? a - b : b - a);
+    return wrap_ ? std::min(d, unsigned(size) - d) : d;
+  }
+  Cycle hops(NodeId a, NodeId b) const {
+    return dim_hops(a % width_, b % width_, width_) +
+           dim_hops(a / width_, b / width_, height_);
+  }
+  std::uint32_t neighbor(std::uint32_t r, LinkDir d) const {
+    const std::uint32_t x = r % width_, y = r / width_;
+    switch (d) {
+      case LinkDir::kEast:
+        if (x + 1 < width_) return r + 1;
+        return wrap_ ? r + 1 - width_ : MeshFabric::kNoRouter;
+      case LinkDir::kWest:
+        if (x > 0) return r - 1;
+        return wrap_ ? r + width_ - 1 : MeshFabric::kNoRouter;
+      case LinkDir::kSouth:
+        if (y + 1 < height_) return r + width_;
+        return wrap_ ? x : MeshFabric::kNoRouter;
+      case LinkDir::kNorth:
+        if (y > 0) return r - width_;
+        return wrap_ ? (height_ - 1) * width_ + x : MeshFabric::kNoRouter;
+      case LinkDir::kCount: break;
+    }
+    return MeshFabric::kNoRouter;
+  }
+  LinkDir step_dir(std::uint32_t cur, std::uint32_t dst, std::uint32_t size,
+                   bool x_dim) const {
+    bool forward;
+    if (!wrap_) {
+      forward = dst > cur;
+    } else {
+      const std::uint32_t fwd = (dst + size - cur) % size;
+      forward = fwd <= size - fwd;
+    }
+    if (x_dim) return forward ? LinkDir::kEast : LinkDir::kWest;
+    return forward ? LinkDir::kSouth : LinkDir::kNorth;
+  }
+  LinkDir pick_step(std::uint32_t cur, std::uint32_t dst, LinkDir back,
+                    Cycle t) {
+    const std::uint32_t x = cur % width_, y = cur / width_;
+    const std::uint32_t xd = dst % width_, yd = dst / width_;
+    const LinkDir preferred = (x != xd) ? step_dir(x, xd, width_, true)
+                                        : step_dir(y, yd, height_, false);
+    LinkDir order[4];
+    int n = 0;
+    const auto push = [&](LinkDir d) {
+      for (int i = 0; i < n; ++i)
+        if (order[i] == d) return;
+      order[n++] = d;
+    };
+    push(preferred);
+    if (x != xd && y != yd) push(step_dir(y, yd, height_, false));
+    push(LinkDir::kEast);
+    push(LinkDir::kWest);
+    push(LinkDir::kSouth);
+    push(LinkDir::kNorth);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i < n; ++i) {
+        const LinkDir d = order[i];
+        if (pass == 0 && d == back) continue;
+        if (pass == 1 && d != back) continue;
+        if (neighbor(cur, d) == MeshFabric::kNoRouter) continue;
+        if (plan_ && plan_->link_down(cur, d, t)) continue;
+        if (d != preferred && stats_) stats_->faults.reroutes++;
+        return d;
+      }
+    }
+    return LinkDir::kCount;
+  }
+  Cycle cross(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
+              Cycle t) {
+    Link& l = links_[router * 4 + std::uint32_t(d)];
+    while (!l.inflight.empty() && l.inflight.front() <= t)
+      l.inflight.pop_front();
+    const Cycle start = l.res.reserve(t, occ);
+    l.inflight.push_back(start + occ);
+    l.max_queue_depth =
+        std::max(l.max_queue_depth, std::uint32_t(l.inflight.size()));
+    l.msgs++;
+    l.bytes += m.total_bytes();
+    if (stats_ && router < stats_->node.size()) {
+      NodeStats& ns = stats_->node[router];
+      ns.link_bytes += m.total_bytes();
+      ns.link_busy += occ;
+      ns.link_max_queue_depth =
+          std::max(ns.link_max_queue_depth, l.max_queue_depth);
+    }
+    return start + t_.mesh_hop_latency;
+  }
+
+  TimingConfig t_;
+  Stats* stats_;
+  const FaultPlan* plan_;
+  std::uint32_t width_, height_;
+  bool wrap_;
+  std::vector<Link> links_;
+};
+
+// A mesh (or torus) whose wire walk the test drives directly.
+class ProbeMesh final : public MeshFabric {
+ public:
+  ProbeMesh(std::uint32_t nodes, const TimingConfig& t, Stats* stats,
+            std::uint32_t width, bool wrap)
+      : MeshFabric(nodes, t, stats, width, wrap) {}
+  using MeshFabric::traverse;
+};
+
+// The fabric under test and the reference, fed the same messages.
+struct RoutePair {
+  Stats stats, ref_stats;
+  ProbeMesh* mesh = nullptr;
+  FaultyFabric* faulty = nullptr;  // null without a plan
+  std::unique_ptr<Fabric> owner;   // the mesh, fault-wrapped when planned
+  std::unique_ptr<ReferenceMesh> ref;
+
+  RoutePair(std::uint32_t nodes, std::uint32_t width, bool wrap,
+            const TimingConfig& t, const FaultConfig* fc)
+      : stats(nodes), ref_stats(nodes) {
+    auto m = std::make_unique<ProbeMesh>(nodes, t, &stats, width, wrap);
+    mesh = m.get();
+    owner = std::move(m);
+    if (fc != nullptr) {
+      // The decorator installs the plan and folds node crashes into the
+      // dead router's links, exactly as make_fabric() does.
+      auto f = std::make_unique<FaultyFabric>(std::move(owner), *fc, &stats);
+      faulty = f.get();
+      owner = std::move(f);
+    }
+    ref = std::make_unique<ReferenceMesh>(nodes, width, wrap, t, &ref_stats,
+                                          faulty ? &faulty->plan() : nullptr);
+  }
+
+  FaultPlan* plan() { return &faulty->plan(); }
+
+  void expect_same_state(const std::string& where) const {
+    for (std::uint32_t r = 0; r < mesh->routers(); ++r)
+      for (std::uint32_t d = 0; d < 4; ++d) {
+        const MeshLink& a = mesh->out_link(r, LinkDir(d));
+        const ReferenceMesh::Link& b = ref->link(r, LinkDir(d));
+        ASSERT_EQ(a.msgs, b.msgs) << where << " link " << r << "/" << d;
+        ASSERT_EQ(a.bytes, b.bytes) << where << " link " << r << "/" << d;
+        ASSERT_EQ(a.max_queue_depth, b.max_queue_depth)
+            << where << " link " << r << "/" << d;
+        ASSERT_EQ(a.res.busy_until(), b.res.busy_until())
+            << where << " link " << r << "/" << d;
+      }
+    for (std::size_t n = 0; n < stats.node.size(); ++n) {
+      ASSERT_EQ(stats.node[n].link_bytes, ref_stats.node[n].link_bytes)
+          << where << " node " << n;
+      ASSERT_EQ(stats.node[n].link_busy, ref_stats.node[n].link_busy)
+          << where << " node " << n;
+      ASSERT_EQ(stats.node[n].link_max_queue_depth,
+                ref_stats.node[n].link_max_queue_depth)
+          << where << " node " << n;
+    }
+    ASSERT_EQ(stats.faults.reroutes, ref_stats.faults.reroutes) << where;
+  }
+};
+
+TEST(QuietWindowRouting, MatchesTheHopByHopWalk) {
+  struct Grid {
+    const char* name;
+    std::uint32_t nodes, width;
+    bool wrap;
+    NodeId crash;  // the crash-window schedule's victim
+  };
+  const Grid grids[] = {
+      {"mesh 8x8", 64, 8, false, 27},
+      {"torus 8x8", 64, 8, true, 27},
+      {"chain 1x16", 16, 16, false, 6},
+  };
+  enum Schedule { kNoPlan, kCrash, kOutages, kSuspended, kScheduleCount };
+  const char* schedule_names[] = {"no plan", "crash window", "outages",
+                                  "suspended"};
+  constexpr int kMessages = 3000;
+
+  for (const Grid& g : grids)
+    for (const std::uint32_t bw : {0u, 4u})
+      for (int s = 0; s < kScheduleCount; ++s) {
+        const std::string where = std::string(g.name) + ", link bw " +
+                                  std::to_string(bw) + ", " +
+                                  schedule_names[s];
+        SCOPED_TRACE(where);
+        TimingConfig t;
+        t.mesh_link_bytes_per_cycle = bw;
+        FaultConfig fc;
+        if (s == kCrash || s == kSuspended)
+          fc.node_downs.push_back({g.crash, 3000, 7000});
+        if (s == kOutages) {
+          // Overlapping, adjacent and empty windows; on the chain the
+          // south/north links do not exist, so their windows end the
+          // quiet window while every real link stays up.
+          const auto down = [&](std::uint32_t r, LinkDir d, Cycle a,
+                                Cycle b) {
+            fc.link_downs.push_back({r, std::uint8_t(d), a, b});
+          };
+          down(9, LinkDir::kEast, 2000, 6000);
+          down(10, LinkDir::kWest, 4000, 8000);
+          down(6, LinkDir::kSouth, 8000, 9000);
+          down(12, LinkDir::kEast, 5000, 5000);
+          down(13, LinkDir::kNorth, 10000, 10300);
+          down(5, LinkDir::kEast, 10100, 11000);
+        }
+        RoutePair rp(g.nodes, g.width, g.wrap, t,
+                     s == kNoPlan ? nullptr : &fc);
+        std::unique_ptr<FaultPlan::SuspendScope> reliable;
+        if (s == kSuspended)
+          reliable = std::make_unique<FaultPlan::SuspendScope>(rp.plan());
+
+        Rng rng = Rng::for_stream(0x5eed, g.nodes * 8 + bw + s);
+        Cycle base = 0;
+        int lost = 0, handed_off = 0;
+        for (int i = 0; i < kMessages; ++i) {
+          // Departures drift forward with jitter (not monotone), a third
+          // of the traffic converges on one hot node, and a few bulk
+          // copies hold links long enough to build deep queues.
+          base += rng.next_below(8);
+          const Cycle depart = base + rng.next_below(200);
+          const NodeId src = NodeId(rng.next_below(g.nodes));
+          NodeId dst = rng.next_below(3) == 0
+                           ? NodeId(g.nodes / 2 + 1)
+                           : NodeId(rng.next_below(g.nodes));
+          if (dst == src) dst = (src + 1) % g.nodes;
+          const std::uint64_t pick = rng.next_below(100);
+          const Message m =
+              pick < 50   ? Message::control(MsgKind::kGetS, src, dst, i)
+              : pick < 98 ? Message::data(src, dst, i)
+                          : Message::page_bulk(src, dst, i, kBlocksPerPage);
+          if (s != kNoPlan) {
+            const Cycle quiet = rp.plan()->links_up_until(depart);
+            const Cycle unloaded =
+                depart + rp.mesh->latency(src, dst);
+            if (quiet > depart && quiet < unloaded) handed_off++;
+          }
+          const Cycle got = rp.mesh->traverse(m, depart);
+          const Cycle want = rp.ref->traverse(m, depart);
+          ASSERT_EQ(got, want) << "message " << i << " " << src << "->"
+                               << dst << " at " << depart;
+          if (got == kNeverCycle) lost++;
+        }
+        rp.expect_same_state(where);
+        if (s == kCrash || s == kOutages) {
+          // The schedule must exercise both walks within one route, and
+          // the crash actually costs detours.
+          EXPECT_GT(handed_off, 0);
+          EXPECT_GT(rp.stats.faults.reroutes, 0u);
+          if (s == kCrash) {
+            EXPECT_GT(lost, 0);  // routes into the dead node
+          }
+        } else {
+          EXPECT_EQ(rp.stats.faults.reroutes, 0u);
+          EXPECT_EQ(lost, 0);
+        }
+      }
+}
+
+TEST(QuietWindowRouting, LinkRingGrowsAndWrapsLikeADeque) {
+  TimingConfig t;  // link contention on
+  RoutePair rp(16, 4, /*wrap=*/false, t, nullptr);
+  const MeshLink& link = rp.mesh->out_link(0, LinkDir::kEast);
+  const ReferenceMesh::Link& ref = rp.ref->link(0, LinkDir::kEast);
+  bool wrapped = false;
+  int sent = 0;
+  // Bursts of 12 then 20 data messages 0 -> 1 at one instant, each
+  // drained only partly before the next: the ring doubles 8 -> 16 -> 32
+  // and its live window runs past the buffer's end.
+  Cycle at = 1000;
+  for (const int burst : {12, 20, 9, 30}) {
+    for (int i = 0; i < burst; ++i) {
+      const Message m = Message::data(0, 1, sent++);
+      ASSERT_EQ(rp.mesh->traverse(m, at), rp.ref->traverse(m, at));
+      ASSERT_EQ(link.depth, ref.inflight.size()) << "message " << sent;
+      ASSERT_EQ(link.max_queue_depth, ref.max_queue_depth);
+      if (link.head + link.depth > link.ring.size()) wrapped = true;
+    }
+    at += 7 * 20;  // 20-cycle data occupancy: about 7 finish per gap
+  }
+  EXPECT_GE(link.ring.size(), 32u);
+  EXPECT_TRUE(wrapped);
+  EXPECT_EQ(link.max_queue_depth, ref.max_queue_depth);
+  rp.expect_same_state("burst");
 }
 
 // ---------------------------------------------------------------------------
