@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -42,14 +43,6 @@ struct Options {
   // Sweep-harness worker count (--jobs N; 0 = hardware concurrency,
   // 1 = serial).
   unsigned jobs = 0;
-  // Home-sharded engine (--shards N; 0 = serial engine, the default),
-  // its drive mode (--shard-threads inline|threads|auto), and the
-  // conservative-lookahead overlapping-window schedule
-  // (--shard-overlap). Results are bit-identical at every shard count,
-  // drive mode, and overlap setting.
-  std::uint32_t shards = 0;
-  SystemConfig::ShardThreads shard_threads = SystemConfig::ShardThreads::kAuto;
-  bool shard_overlap = false;
   // Fault injection (--fault-seed N enables; --fault-drop-pct P,
   // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C,
   // --fault-link-downs K, --fault-retry-base C, --fault-retry-max A
@@ -97,9 +90,6 @@ struct Options {
       sc.timing.mesh_link_bytes_per_cycle = link_bw;
     sc.policy = policy;
     if (adaptive_k != 0) sc.timing.adaptive_k = adaptive_k;
-    sc.shards = shards;
-    sc.shard_threads = shard_threads;
-    sc.shard_overlap = shard_overlap;
     if (fault_seed_set) {
       sc.faults.seed = fault_seed;
       sc.faults.drop_pct = fault_drop_pct;
@@ -127,7 +117,7 @@ struct Options {
 };
 
 // Every flag that shapes a run's SystemConfig (machine size, fabric,
-// directory scheme, policy engine, shards, fault plan) is owned by this
+// directory scheme, policy engine, fault plan) is owned by this
 // one parser, shared by all bench binaries through parse(). Adding a
 // system knob here makes it available to every sweep at once; the
 // binaries keep only their harness flags (--paper/--tiny/--apps/
@@ -138,18 +128,11 @@ class SystemFlagParser {
 
   // Consume argv[i] (and its value operand, advancing i past it) when
   // the flag is one of the SystemConfig-shaping flags. Returns false —
-  // leaving i untouched — for flags it does not own. A recognized flag
-  // whose value operand is missing is left unconsumed, matching the
-  // historic parser.
+  // leaving i untouched — for flags it does not own. A missing value
+  // operand reads as "", which every flag's value check rejects.
   bool consume(int argc, char** argv, int& i) {
-    // Boolean flags (no value operand).
-    if (std::strcmp(argv[i], "--shard-overlap") == 0) {
-      o_->shard_overlap = true;
-      return true;
-    }
-    if (i + 1 >= argc) return false;
     const char* flag = argv[i];
-    const char* arg = argv[i + 1];
+    const char* arg = i + 1 < argc ? argv[i + 1] : "";
     if (std::strcmp(flag, "--fabric") == 0) {
       if (std::strcmp(arg, "mesh") == 0 || std::strcmp(arg, "mesh-2d") == 0) {
         o_->fabric = FabricKind::kMesh2d;
@@ -203,19 +186,6 @@ class SystemFlagParser {
     } else if (std::strcmp(flag, "--adaptive-k") == 0) {
       o_->adaptive_k = std::uint32_t(parse_uint(
           flag, arg, 1, 1u << 20, "a positive competitive constant"));
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      o_->shards = std::uint32_t(parse_uint(
-          flag, arg, 0, 1u << 10, "a home-shard count; 0 = serial engine"));
-    } else if (std::strcmp(flag, "--shard-threads") == 0) {
-      if (std::strcmp(arg, "inline") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kInline;
-      } else if (std::strcmp(arg, "threads") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kThreaded;
-      } else if (std::strcmp(arg, "auto") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kAuto;
-      } else {
-        die(flag, arg, "inline|threads|auto");
-      }
     } else if (std::strcmp(flag, "--fault-seed") == 0) {
       o_->fault_seed = parse_uint(flag, arg, 0, ~std::uint64_t(0), "a seed");
       o_->fault_seed_set = true;
@@ -356,17 +326,39 @@ class SystemFlagParser {
   Options* o_;
 };
 
-inline Options parse(int argc, char** argv) {
+// A flag one binary reads from argv itself (bench_table2_apps'
+// --table-only, bench_policy_adaptive's --ks). parse() accepts and
+// skips it, together with its value operand when `takes_value`.
+struct ExtraFlag {
+  const char* name;
+  bool takes_value;
+};
+
+// Parses the shared flags plus `extra`. Any other argument exits 2
+// naming it, so a misspelt or retired flag cannot silently run a
+// different experiment than the command line asks for.
+inline Options parse(int argc, char** argv,
+                     std::initializer_list<ExtraFlag> extra = {}) {
   Options o;
   SystemFlagParser sys(o);
   for (int i = 1; i < argc; ++i) {
     if (sys.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--paper") == 0) o.scale = Scale::kPaper;
-    if (std::strcmp(argv[i], "--tiny") == 0) o.scale = Scale::kTiny;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      o.json_path = argv[++i];
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      const char* arg = argv[++i];
+    const char* flag = argv[i];
+    const auto value = [&] {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", flag);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (std::strcmp(flag, "--paper") == 0) {
+      o.scale = Scale::kPaper;
+    } else if (std::strcmp(flag, "--tiny") == 0) {
+      o.scale = Scale::kTiny;
+    } else if (std::strcmp(flag, "--json") == 0) {
+      o.json_path = value();
+    } else if (std::strcmp(flag, "--jobs") == 0) {
+      const char* arg = value();
       char* end = nullptr;
       const unsigned long v = std::strtoul(arg, &end, 10);
       if (end == arg || *end != '\0' || v > 4096) {
@@ -377,10 +369,9 @@ inline Options parse(int argc, char** argv) {
         std::exit(2);
       }
       o.jobs = unsigned(v);
-    }
-    if (std::strcmp(argv[i], "--apps") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--apps") == 0) {
       o.apps.clear();
-      std::string list = argv[++i];
+      std::string list = value();
       std::size_t pos = 0;
       while (pos < list.size()) {
         std::size_t comma = list.find(',', pos);
@@ -388,6 +379,15 @@ inline Options parse(int argc, char** argv) {
         o.apps.push_back(list.substr(pos, comma - pos));
         pos = comma + 1;
       }
+    } else {
+      const ExtraFlag* x = nullptr;
+      for (const ExtraFlag& e : extra)
+        if (std::strcmp(flag, e.name) == 0) x = &e;
+      if (x == nullptr) {
+        std::fprintf(stderr, "unknown flag '%s'\n", flag);
+        std::exit(2);
+      }
+      if (x->takes_value) value();
     }
   }
   return o;

@@ -6,17 +6,14 @@
 //      mesh link outages with adaptive rerouting, and the recovery
 //      paths (retry, NACK on duplicate, hard-error escalation, clean
 //      page-op abort).
-//   2. Rng stream independence (the property the whole shard-invariant
-//      fault scheme rests on).
+//   2. Rng stream independence (the property that keeps one node's fault
+//      draws independent of every other node's traffic).
 //   3. A randomized chaos soak: full workload runs under escalating
-//      fault rates, on the serial and the sharded engine, asserting
-//      workload verification, the global coherence invariant, serial/
-//      sharded bit-identity of results and fault counters, and
-//      run-to-run determinism at a fixed seed.
+//      fault rates, asserting workload verification, the global
+//      coherence invariant, and run-to-run bit-identity of results and
+//      fault counters at a fixed seed.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <string>
@@ -32,7 +29,6 @@
 #include "net/fault.hpp"
 #include "protocols/system_factory.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 #include "workloads/workload.hpp"
 
 namespace dsm {
@@ -115,9 +111,8 @@ TEST(FaultPlan, RatesAreDisjointSlicesOfTheDraw) {
 
 TEST(FaultPlan, PerSourceStreamsAreIndependent) {
   // Draws for source 0 are unaffected by how many draws source 1 makes
-  // in between — the property that makes fault schedules shard-count
-  // invariant (per-node send order is engine-invariant; cross-node
-  // interleaving is not).
+  // in between — a change that reorders traffic across nodes leaves
+  // each node's own fault schedule in place.
   FaultPlan lone(plan_cfg(30, 10, 5), 2, 2);
   FaultPlan mixed(plan_cfg(30, 10, 5), 2, 2);
   for (int i = 0; i < 5000; ++i) {
@@ -972,16 +967,7 @@ bool operator==(const ChaosResult& a, const ChaosResult& b) {
 ChaosResult run_chaos(const RunSpec& spec) {
   Stats stats(spec.system.nodes);
   auto system = make_system(spec.system, &stats);
-  std::unique_ptr<Engine> engine_ptr;
-  if (spec.system.shards > 0) {
-    engine_ptr = std::make_unique<ShardedEngine>(
-        spec.system, system.get(), &stats, spec.system.shards,
-        system->fabric().min_wire_latency(), &system->arena(),
-        &system->fabric());
-  } else {
-    engine_ptr = std::make_unique<Engine>(spec.system, system.get(), &stats);
-  }
-  Engine& engine = *engine_ptr;
+  Engine engine(spec.system, system.get(), &stats);
 
   SharedSpace space;
   auto workload = make_workload(spec.workload, spec.scale);
@@ -1009,66 +995,35 @@ ChaosResult run_chaos(const RunSpec& spec) {
   return r;
 }
 
-RunSpec chaos_spec(double drop_pct, std::uint32_t shards) {
+RunSpec chaos_spec(double drop_pct) {
   RunSpec spec = paper_spec(SystemKind::kCcNumaMigRep, "raytrace",
                             Scale::kTiny);
   spec.system.faults.seed = 0xC0FFEEULL;
   spec.system.faults.drop_pct = drop_pct;
   spec.system.faults.dup_pct = drop_pct / 2;
   spec.system.faults.delay_pct = drop_pct;
-  spec.system.shards = shards;
-  // Inline by default for speed; the TSan CI leg exports
-  // DSM_SHARD_THREADS=threads so the soak's sharded runs cross real
-  // baton handoffs under the race detector.
-  spec.system.shard_threads = SystemConfig::ShardThreads::kInline;
-  if (const char* s = std::getenv("DSM_SHARD_THREADS"))
-    if (shards > 0 && std::strcmp(s, "threads") == 0)
-      spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
   return spec;
 }
 
-TEST(ChaosSoak, SurvivesEscalatingRatesSerialAndSharded) {
+TEST(ChaosSoak, SurvivesEscalatingRates) {
   std::uint64_t last_drops = 0;
   for (const double rate : {0.5, 2.0, 10.0, 30.0}) {
-    const ChaosResult serial = run_chaos(chaos_spec(rate, 0));
-    const ChaosResult sharded = run_chaos(chaos_spec(rate, 4));
-    // The fault schedule keys off per-source streams, so the sharded
-    // engine replays the exact same faults — and must land on the exact
-    // same recovered state and costs.
-    EXPECT_TRUE(serial == sharded) << "rate " << rate;
-    EXPECT_GE(serial.faults.drops_injected, last_drops);
-    last_drops = serial.faults.drops_injected;
+    const ChaosResult r = run_chaos(chaos_spec(rate));
+    EXPECT_GE(r.faults.drops_injected, last_drops) << "rate " << rate;
+    last_drops = r.faults.drops_injected;
   }
   EXPECT_GT(last_drops, 0u);
 }
 
-TEST(ChaosSoak, OverlapWindowsReplayTheExactFaultLedger) {
-  // The overlapping-window schedule elides turns and hands the baton
-  // directly between shards, but every fault draw keys off per-source
-  // streams whose order is engine-invariant — so serial, baton-sharded
-  // and overlap-sharded runs must land on the same recovered state and
-  // the same fault counters. Threaded drive crosses real go-word
-  // handoffs (and, under the TSan CI leg, the race detector).
-  for (const double rate : {2.0, 10.0}) {
-    const ChaosResult serial = run_chaos(chaos_spec(rate, 0));
-    RunSpec overlap = chaos_spec(rate, 4);
-    overlap.system.shard_overlap = true;
-    overlap.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-    const ChaosResult sharded = run_chaos(overlap);
-    EXPECT_TRUE(serial == sharded) << "rate " << rate;
-    EXPECT_GT(serial.faults.drops_injected, 0u);
-  }
-}
-
 TEST(ChaosSoak, FixedSeedIsBitReproducible) {
-  const ChaosResult a = run_chaos(chaos_spec(10.0, 0));
-  const ChaosResult b = run_chaos(chaos_spec(10.0, 0));
+  const ChaosResult a = run_chaos(chaos_spec(10.0));
+  const ChaosResult b = run_chaos(chaos_spec(10.0));
   EXPECT_TRUE(a == b);
   EXPECT_GT(a.faults.retries, 0u);
 }
 
 TEST(ChaosSoak, LinkOutagesRerouteUnderLoad) {
-  RunSpec spec = chaos_spec(2.0, 0);
+  RunSpec spec = chaos_spec(2.0);
   spec.system.fabric = FabricKind::kMesh2d;
   spec.system.faults.rand_link_downs = 6;
   spec.system.faults.rand_link_down_len = 100000;
@@ -1082,57 +1037,42 @@ TEST(ChaosSoak, CoarseVectorSoakBeyondThe32NodeBoundary) {
   // 64 nodes crosses the historic 32-bit sharer-mask width and the
   // coarse scheme routes every invalidation through the conservative
   // region multicast. The recovery ledger (retries, NACKs, reroutes)
-  // must stay engine-invariant out here too: the sharded engine replays
-  // the exact faults the serial engine saw.
-  auto wide = [](std::uint32_t shards) {
-    RunSpec spec = chaos_spec(10.0, shards);
-    spec.system.nodes = 64;
-    spec.system.cpus_per_node = 1;
-    spec.system.dir_scheme = DirScheme::kCoarse;
-    spec.system.fabric = FabricKind::kMesh2d;  // 8x8: reroutes can fire
-    spec.system.faults.rand_link_downs = 4;
-    spec.system.faults.rand_link_down_len = 100000;
-    spec.system.faults.rand_link_down_horizon = 2'000'000;
-    return spec;
-  };
-  const ChaosResult serial = run_chaos(wide(0));
-  const ChaosResult sharded = run_chaos(wide(4));
-  EXPECT_TRUE(serial == sharded);
-  EXPECT_GT(serial.faults.drops_injected, 0u);
-  EXPECT_GT(serial.faults.retries, 0u);
+  // must stay bit-reproducible out here too: a second run at the same
+  // seed replays the exact faults and recovery of the first.
+  RunSpec spec = chaos_spec(10.0);
+  spec.system.nodes = 64;
+  spec.system.cpus_per_node = 1;
+  spec.system.dir_scheme = DirScheme::kCoarse;
+  spec.system.fabric = FabricKind::kMesh2d;  // 8x8: reroutes can fire
+  spec.system.faults.rand_link_downs = 4;
+  spec.system.faults.rand_link_down_len = 100000;
+  spec.system.faults.rand_link_down_horizon = 2'000'000;
+  const ChaosResult a = run_chaos(spec);
+  const ChaosResult b = run_chaos(spec);
+  EXPECT_TRUE(a == b);
+  EXPECT_GT(a.faults.drops_injected, 0u);
+  EXPECT_GT(a.faults.retries, 0u);
 }
 
-TEST(ChaosSoak, CrashSchedulesAreEngineInvariant) {
+TEST(ChaosSoak, CrashSchedulesAreBitReproducible) {
   // A 64-node mesh soak with two crash windows layered on the seeded
   // perturbations. Crash detection, timeout escalation, successor
-  // election, and the survivor census all key off engine-invariant
-  // state, so the full fault/recovery ledger — including the four crash
-  // counters — must be identical across the serial engine and every
-  // shard count and drive mode, with workload verification and the
-  // coherence invariant green inside run_chaos() each time.
-  auto crashy = [](std::uint32_t shards, bool overlap, bool threads) {
-    RunSpec spec = chaos_spec(2.0, shards);
-    spec.system.nodes = 64;
-    spec.system.cpus_per_node = 1;
-    spec.system.fabric = FabricKind::kMesh2d;
-    spec.system.faults.node_downs.push_back({0, 100000, 300000});
-    spec.system.faults.node_downs.push_back({1, 150000, 350000});
-    spec.system.shard_overlap = overlap;
-    if (threads)
-      spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-    return spec;
-  };
-  const ChaosResult serial = run_chaos(crashy(0, false, false));
-  EXPECT_GT(serial.faults.crash_drops + serial.faults.rehomes, 0u)
+  // election, and the survivor census are all deterministic, so the
+  // full fault/recovery ledger — including the four crash counters —
+  // must be identical across two runs at the same seed, with workload
+  // verification and the coherence invariant green inside run_chaos()
+  // each time.
+  RunSpec spec = chaos_spec(2.0);
+  spec.system.nodes = 64;
+  spec.system.cpus_per_node = 1;
+  spec.system.fabric = FabricKind::kMesh2d;
+  spec.system.faults.node_downs.push_back({0, 100000, 300000});
+  spec.system.faults.node_downs.push_back({1, 150000, 350000});
+  const ChaosResult a = run_chaos(spec);
+  EXPECT_GT(a.faults.crash_drops + a.faults.rehomes, 0u)
       << "crash windows missed the run entirely";
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const ChaosResult inline_drive = run_chaos(crashy(shards, false, false));
-    const ChaosResult threaded = run_chaos(crashy(shards, false, true));
-    const ChaosResult overlap = run_chaos(crashy(shards, true, true));
-    EXPECT_TRUE(serial == inline_drive) << "shards " << shards << " inline";
-    EXPECT_TRUE(serial == threaded) << "shards " << shards << " threaded";
-    EXPECT_TRUE(serial == overlap) << "shards " << shards << " overlap";
-  }
+  const ChaosResult b = run_chaos(spec);
+  EXPECT_TRUE(a == b);
 }
 
 }  // namespace
