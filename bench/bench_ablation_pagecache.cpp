@@ -14,11 +14,11 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Ablation: page-cache size sweep (normalized to perfect CC-NUMA) "
       "===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   const std::vector<std::pair<std::string, std::uint64_t>> sizes = {
       {"0.3MB", 300 * 1024},   {"0.6MB", 600 * 1024},
@@ -28,12 +28,11 @@ int main(int argc, char** argv) {
 
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps)
-    specs.push_back(paper_spec(SystemKind::kPerfectCcNuma, app, opt.scale));
+    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
   for (const auto& [label, bytes] : sizes) {
     for (const auto& app : opt.apps) {
-      RunSpec s = paper_spec(
-          bytes == 0 ? SystemKind::kRNumaInf : SystemKind::kRNuma, app,
-          opt.scale);
+      RunSpec s = opt.spec(
+          bytes == 0 ? SystemKind::kRNumaInf : SystemKind::kRNuma, app);
       if (bytes != 0) s.system.page_cache_bytes = bytes;
       specs.push_back(s);
     }

@@ -1,13 +1,16 @@
 // Shared scaffolding for the per-table/per-figure bench binaries.
 //
-// Every binary accepts `--paper` to run the paper's Table-2 input sizes
-// (defaults are reduced; see workloads/catalog.*), `--apps a,b,c` to
-// restrict the application list, and `--jobs N` to run the sweep's
-// independent simulation configs on N pool workers (0 = one per
-// hardware thread, 1 = serial). Per-run results are bit-identical at
-// every job count; only wall-clock changes.
+// Every command-line flag is one entry of kFlags below: its name,
+// operand hint, help line, group and setter. Each binary's parse() call
+// names the groups and entries it honours; any other argument exits 2,
+// and `--help` lists that binary's entries. Sweeps run their
+// independent simulation configs on `--jobs N` pool workers; per-run
+// results are bit-identical at every job count, only wall-clock changes.
 #pragma once
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +18,8 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -24,370 +29,402 @@
 
 namespace dsm::bench {
 
-struct Options {
-  static constexpr std::uint32_t kLinkBwUnset = ~std::uint32_t(0);
+struct Flag;
 
+struct Options {
   Scale scale = Scale::kDefault;
   std::vector<std::string> apps = paper_apps();
-  FabricKind fabric = FabricKind::kNiConstant;
-  // Mesh/torus link bandwidth override (bytes/cycle; 0 = NI-only wire
-  // model); kLinkBwUnset keeps the TimingConfig default.
-  std::uint32_t link_bw = kLinkBwUnset;
-  std::string json_path;  // --json FILE: machine-readable per-class bytes
-  // Decision-engine override (--policy none|migrep|rnuma|adaptive);
-  // kDefault keeps the paper's SystemKind pairing.
-  PolicyKind policy = PolicyKind::kDefault;
-  // Competitive constant override for the adaptive engine (--adaptive-k
-  // N; 0 keeps the TimingConfig default).
-  std::uint32_t adaptive_k = 0;
-  // Sweep-harness worker count (--jobs N; 0 = hardware concurrency,
-  // 1 = serial).
-  unsigned jobs = 0;
-  // Fault injection (--fault-seed N enables; --fault-drop-pct P,
-  // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C,
-  // --fault-link-downs K, --fault-retry-base C, --fault-retry-max A
-  // shape the plan; --fault-link-down a:b@cycle+N schedules an explicit
-  // node-pair outage and works without a seed). Whole-node crashes:
-  // --fault-node-down n@cycle[+N] schedules node n to crash at `cycle`
-  // for N cycles (omitting +N makes the crash permanent) and works
-  // without a seed; --fault-node-downs K draws K seeded crash windows.
-  // --fault-kinds data,ack,... restricts seeded perturbations to the
-  // listed message kinds (draws are still consumed for every kind, so
-  // narrowing the mask never shifts the surviving kinds' outcomes).
-  // Faults off (the default) is bit-identical to a build without the
-  // fault layer.
-  std::uint64_t fault_seed = 0;
-  bool fault_seed_set = false;
-  double fault_drop_pct = 1.0;
-  double fault_dup_pct = 0.0;
-  double fault_delay_pct = 0.0;
-  Cycle fault_delay_cycles = 0;  // 0 = keep FaultConfig default
-  std::uint32_t fault_link_downs = 0;
-  std::vector<FaultConfig::NodeLinkDown> fault_node_link_downs;
-  std::uint32_t fault_rand_node_downs = 0;
-  std::vector<FaultConfig::NodeDown> fault_node_downs;
-  std::uint32_t fault_kinds = ~0u;  // bit per MsgKind; default = all
-  Cycle fault_retry_base = 0;      // 0 = keep TimingConfig default
-  std::uint32_t fault_retry_max = 0;  // 0 = keep TimingConfig default
-  // Machine shape (--nodes N, --cpus-per-node N; 0 keeps the
-  // SystemConfig defaults) and directory sharer-set representation
-  // (--dir-scheme full|limited|coarse|auto; auto resolves to the exact
-  // full map whenever the machine fits in 64 nodes).
-  std::uint32_t nodes = 0;
-  std::uint32_t cpus_per_node = 0;
-  DirScheme dir_scheme = DirScheme::kAuto;
-  // The worker count actually used (what the throughput fields were
-  // measured under — per-run wall time includes contention from
-  // sibling workers, so jobs context is part of the measurement).
-  unsigned resolved_jobs() const {
-    return jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
-  }
+  // Sweep-harness workers; --jobs 0 resolves to one per hardware thread
+  // at parse time, so this is the count the throughput was measured at.
+  unsigned jobs = ThreadPool::hardware_jobs();
+  std::string json_path;  // --json FILE: machine-readable per-run records
+  bool table_only = false;                 // bench_table2_apps
+  std::vector<std::uint32_t> ks = {1, 4, 16};  // bench_policy_adaptive
+  // Every flag given, with its operand, in argument order.
+  std::vector<std::pair<const Flag*, std::string>> args;
 
-  // Apply the fabric/policy selection to one run's system config.
-  void apply(SystemConfig& sc) const {
-    sc.fabric = fabric;
-    if (link_bw != kLinkBwUnset)
-      sc.timing.mesh_link_bytes_per_cycle = link_bw;
-    sc.policy = policy;
-    if (adaptive_k != 0) sc.timing.adaptive_k = adaptive_k;
-    if (fault_seed_set) {
-      sc.faults.seed = fault_seed;
-      sc.faults.drop_pct = fault_drop_pct;
-      sc.faults.dup_pct = fault_dup_pct;
-      sc.faults.delay_pct = fault_delay_pct;
-      if (fault_delay_cycles != 0) sc.faults.delay_cycles = fault_delay_cycles;
-      sc.faults.rand_link_downs = fault_link_downs;
-      sc.faults.rand_node_downs = fault_rand_node_downs;
-    }
-    // Explicit node-pair outages and node crashes are deterministic
-    // schedules, not seeded draws — they enable the fault layer on
-    // their own.
-    if (!fault_node_link_downs.empty())
-      sc.faults.node_link_downs = fault_node_link_downs;
-    if (!fault_node_downs.empty()) sc.faults.node_downs = fault_node_downs;
-    sc.faults.fault_kinds = fault_kinds;
-    if (fault_retry_base != 0) sc.timing.fault_retry_base = fault_retry_base;
-    if (fault_retry_max != 0)
-      sc.timing.fault_retry_max_attempts = fault_retry_max;
-    if (nodes != 0) sc.nodes = nodes;
-    if (cpus_per_node != 0) sc.cpus_per_node = cpus_per_node;
-    sc.dir_scheme = dir_scheme;
+  bool given(std::string_view flag) const;
+  // Replay the given system flags onto one run's config. Call it after
+  // the bench sets its own base config and before its swept parameter.
+  void apply(SystemConfig& sc) const;
+  // paper_spec() at the selected scale, system flags applied.
+  RunSpec spec(SystemKind kind, const std::string& app) const {
+    RunSpec s = paper_spec(kind, app, scale);
+    apply(s.system);
+    return s;
   }
-  bool routed_fabric() const { return fabric != FabricKind::kNiConstant; }
 };
 
-// Every flag that shapes a run's SystemConfig (machine size, fabric,
-// directory scheme, policy engine, fault plan) is owned by this
-// one parser, shared by all bench binaries through parse(). Adding a
-// system knob here makes it available to every sweep at once; the
-// binaries keep only their harness flags (--paper/--tiny/--apps/
-// --jobs/--json).
-class SystemFlagParser {
- public:
-  explicit SystemFlagParser(Options& o) : o_(&o) {}
-
-  // Consume argv[i] (and its value operand, advancing i past it) when
-  // the flag is one of the SystemConfig-shaping flags. Returns false —
-  // leaving i untouched — for flags it does not own. A missing value
-  // operand reads as "", which every flag's value check rejects.
-  bool consume(int argc, char** argv, int& i) {
-    const char* flag = argv[i];
-    const char* arg = i + 1 < argc ? argv[i + 1] : "";
-    if (std::strcmp(flag, "--fabric") == 0) {
-      if (std::strcmp(arg, "mesh") == 0 || std::strcmp(arg, "mesh-2d") == 0) {
-        o_->fabric = FabricKind::kMesh2d;
-      } else if (std::strcmp(arg, "torus") == 0 ||
-                 std::strcmp(arg, "torus-2d") == 0) {
-        o_->fabric = FabricKind::kTorus2d;
-      } else if (std::strcmp(arg, "ni") == 0 ||
-                 std::strcmp(arg, "ni-constant") == 0) {
-        o_->fabric = FabricKind::kNiConstant;
-      } else {
-        die(flag, arg, "mesh|torus|ni");
-      }
-    } else if (std::strcmp(flag, "--nodes") == 0) {
-      o_->nodes = std::uint32_t(
-          parse_uint(flag, arg, 1, 1u << 16, "a node count (1..65536)"));
-    } else if (std::strcmp(flag, "--cpus-per-node") == 0) {
-      o_->cpus_per_node = std::uint32_t(
-          parse_uint(flag, arg, 1, 1u << 10, "a per-node cpu count"));
-    } else if (std::strcmp(flag, "--dir-scheme") == 0) {
-      if (std::strcmp(arg, "full") == 0 || std::strcmp(arg, "full-map") == 0) {
-        o_->dir_scheme = DirScheme::kFullMap;
-      } else if (std::strcmp(arg, "limited") == 0 ||
-                 std::strcmp(arg, "limited-ptr") == 0) {
-        o_->dir_scheme = DirScheme::kLimitedPtr;
-      } else if (std::strcmp(arg, "coarse") == 0 ||
-                 std::strcmp(arg, "coarse-vector") == 0) {
-        o_->dir_scheme = DirScheme::kCoarse;
-      } else if (std::strcmp(arg, "auto") == 0) {
-        o_->dir_scheme = DirScheme::kAuto;
-      } else {
-        die(flag, arg, "full|limited|coarse|auto");
-      }
-    } else if (std::strcmp(flag, "--link-bw") == 0) {
-      o_->link_bw = std::uint32_t(
-          parse_uint(flag, arg, 0, Options::kLinkBwUnset - 1,
-                     "bytes/cycle; 0 disables link contention"));
-    } else if (std::strcmp(flag, "--policy") == 0) {
-      if (std::strcmp(arg, "default") == 0) {
-        o_->policy = PolicyKind::kDefault;
-      } else if (std::strcmp(arg, "none") == 0) {
-        o_->policy = PolicyKind::kNone;
-      } else if (std::strcmp(arg, "migrep") == 0) {
-        o_->policy = PolicyKind::kMigRep;
-      } else if (std::strcmp(arg, "rnuma") == 0) {
-        o_->policy = PolicyKind::kRNuma;
-      } else if (std::strcmp(arg, "adaptive") == 0) {
-        o_->policy = PolicyKind::kAdaptive;
-      } else {
-        die(flag, arg, "default|none|migrep|rnuma|adaptive");
-      }
-    } else if (std::strcmp(flag, "--adaptive-k") == 0) {
-      o_->adaptive_k = std::uint32_t(parse_uint(
-          flag, arg, 1, 1u << 20, "a positive competitive constant"));
-    } else if (std::strcmp(flag, "--fault-seed") == 0) {
-      o_->fault_seed = parse_uint(flag, arg, 0, ~std::uint64_t(0), "a seed");
-      o_->fault_seed_set = true;
-    } else if (std::strcmp(flag, "--fault-drop-pct") == 0) {
-      o_->fault_drop_pct = parse_pct(flag, arg);
-    } else if (std::strcmp(flag, "--fault-dup-pct") == 0) {
-      o_->fault_dup_pct = parse_pct(flag, arg);
-    } else if (std::strcmp(flag, "--fault-delay-pct") == 0) {
-      o_->fault_delay_pct = parse_pct(flag, arg);
-    } else if (std::strcmp(flag, "--fault-delay-cycles") == 0) {
-      o_->fault_delay_cycles = Cycle(
-          parse_uint(flag, arg, 1, ~std::uint64_t(0), "extra cycles > 0"));
-    } else if (std::strcmp(flag, "--fault-link-down") == 0) {
-      o_->fault_node_link_downs.push_back(parse_link_down(flag, arg));
-    } else if (std::strcmp(flag, "--fault-link-downs") == 0) {
-      o_->fault_link_downs = std::uint32_t(
-          parse_uint(flag, arg, 0, 1u << 16, "an outage count"));
-    } else if (std::strcmp(flag, "--fault-node-down") == 0) {
-      o_->fault_node_downs.push_back(parse_node_down(flag, arg));
-    } else if (std::strcmp(flag, "--fault-node-downs") == 0) {
-      o_->fault_rand_node_downs = std::uint32_t(
-          parse_uint(flag, arg, 0, 1u << 16, "a crash count"));
-    } else if (std::strcmp(flag, "--fault-kinds") == 0) {
-      o_->fault_kinds = parse_kinds(flag, arg);
-    } else if (std::strcmp(flag, "--fault-retry-base") == 0) {
-      o_->fault_retry_base = Cycle(
-          parse_uint(flag, arg, 1, ~std::uint64_t(0), "cycles > 0"));
-    } else if (std::strcmp(flag, "--fault-retry-max") == 0) {
-      o_->fault_retry_max =
-          std::uint32_t(parse_uint(flag, arg, 1, 64, "1..64 attempts"));
-    } else {
-      return false;
-    }
-    ++i;  // the value operand was consumed
-    return true;
-  }
-
- private:
-  [[noreturn]] static void die(const char* flag, const char* arg,
-                               const char* expected) {
-    std::fprintf(stderr, "bad %s '%s' (expected %s)\n", flag, arg, expected);
-    std::exit(2);
-  }
-
-  static std::uint64_t parse_uint(const char* flag, const char* arg,
-                                  std::uint64_t lo, std::uint64_t hi,
-                                  const char* expected) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0' || v < lo || v > hi)
-      die(flag, arg, expected);
-    return v;
-  }
-
-  static double parse_pct(const char* flag, const char* arg) {
-    char* end = nullptr;
-    const double v = std::strtod(arg, &end);
-    if (end == arg || *end != '\0' || v < 0.0 || v > 100.0)
-      die(flag, arg, "0..100");
-    return v;
-  }
-
-  // --fault-link-down a:b@cycle+N — the directed link from node a
-  // toward adjacent node b goes down at `cycle` for N cycles.
-  static FaultConfig::NodeLinkDown parse_link_down(const char* flag,
-                                                   const char* arg) {
-    FaultConfig::NodeLinkDown nd;
-    char* p = nullptr;
-    nd.a = std::uint32_t(std::strtoul(arg, &p, 10));
-    if (p == arg || *p != ':') die(flag, arg, "a:b@cycle+N");
-    const char* q = p + 1;
-    nd.b = std::uint32_t(std::strtoul(q, &p, 10));
-    if (p == q || *p != '@') die(flag, arg, "a:b@cycle+N");
-    q = p + 1;
-    nd.down = Cycle(std::strtoull(q, &p, 10));
-    if (p == q || *p != '+') die(flag, arg, "a:b@cycle+N");
-    q = p + 1;
-    nd.len = Cycle(std::strtoull(q, &p, 10));
-    if (p == q || *p != '\0' || nd.len == 0 || nd.a == nd.b)
-      die(flag, arg, "a:b@cycle+N");
-    return nd;
-  }
-
-  // --fault-node-down n@cycle[+N] — node n crashes at `cycle`; with +N
-  // it recovers N cycles later, without it the crash is permanent.
-  static FaultConfig::NodeDown parse_node_down(const char* flag,
-                                               const char* arg) {
-    FaultConfig::NodeDown nd;
-    char* p = nullptr;
-    nd.node = std::uint32_t(std::strtoul(arg, &p, 10));
-    if (p == arg || *p != '@') die(flag, arg, "n@cycle[+N]");
-    const char* q = p + 1;
-    nd.down = Cycle(std::strtoull(q, &p, 10));
-    if (p == q) die(flag, arg, "n@cycle[+N]");
-    if (*p == '+') {
-      q = p + 1;
-      const Cycle len = Cycle(std::strtoull(q, &p, 10));
-      if (p == q || *p != '\0' || len == 0) die(flag, arg, "n@cycle[+N]");
-      nd.up = nd.down + len;
-    } else if (*p != '\0') {
-      die(flag, arg, "n@cycle[+N]");
-    }
-    return nd;
-  }
-
-  // --fault-kinds data,ack,... — comma-separated message-kind names;
-  // seeded perturbations apply only to the listed kinds.
-  static std::uint32_t parse_kinds(const char* flag, const char* arg) {
-    static constexpr const char* kNames[] = {
-        "gets", "getx", "upgrade", "inval",   "ack",    "data",
-        "writeback", "hint", "pagebulk", "nack", "rebuild"};
-    static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
-                  std::size_t(MsgKind::kCount));
-    std::uint32_t mask = 0;
-    const std::string list = arg;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      std::size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      const std::string name = list.substr(pos, comma - pos);
-      bool hit = false;
-      for (std::size_t k = 0; k < std::size_t(MsgKind::kCount); ++k) {
-        if (name == kNames[k]) {
-          mask |= 1u << k;
-          hit = true;
-          break;
-        }
-      }
-      if (!hit)
-        die(flag, arg,
-            "a comma list of gets|getx|upgrade|inval|ack|data|writeback|"
-            "hint|pagebulk|nack|rebuild");
-      pos = comma + 1;
-    }
-    return mask;
-  }
-
-  Options* o_;
+// Thrown by a value checker; parse() reports it against the flag, with
+// the flag's operand hint when `expected` is empty.
+struct BadValue {
+  std::string expected;
 };
 
-// A flag one binary reads from argv itself (bench_table2_apps'
-// --table-only, bench_policy_adaptive's --ks). parse() accepts and
-// skips it, together with its value operand when `takes_value`.
-struct ExtraFlag {
+// Groups a binary can take whole; parse() also takes entries by name.
+enum FlagGroup : unsigned {
+  kRunFlags = 1,     // --paper, --tiny, --apps, --jobs
+  kConfigFlags = 2,  // machine shape, fabric, policy engine
+  kFaultFlags = 4,   // --fault-*
+  kSweepFlags = kRunFlags | kConfigFlags | kFaultFlags,
+};
+
+// One command-line flag. Exactly one setter is set: a harness flag
+// fills Options while parsing; a system flag writes the SystemConfig
+// field it names and is replayed by Options::apply().
+struct Flag {
   const char* name;
-  bool takes_value;
+  const char* value;  // operand hint; nullptr for a switch
+  const char* help;
+  unsigned group;     // FlagGroup bit; 0 = taken by name only
+  void (*set_options)(Options&, const char*);
+  void (*set_system)(SystemConfig&, const char*);
+  // Shapes the seeded fault plan, so means nothing without --fault-seed.
+  bool seeded = false;
 };
 
-// Parses the shared flags plus `extra`. Any other argument exits 2
-// naming it, so a misspelt or retired flag cannot silently run a
-// different experiment than the command line asks for.
-inline Options parse(int argc, char** argv,
-                     std::initializer_list<ExtraFlag> extra = {}) {
+// "" and "a," yield an empty element, which every list flag rejects.
+inline std::vector<std::string> split_list(const char* arg) {
+  std::vector<std::string> out;
+  const std::string list = arg;
+  std::size_t pos = 0;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string::npos) comma = list.size();
+    out.push_back(list.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return out;
+}
+
+// Digits only: strtoull negates a leading '-' and saturates on overflow.
+inline std::uint64_t parse_uint(const char* arg, std::uint64_t lo,
+                                std::uint64_t hi, const char* expected) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(arg, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(*arg)) || *end != '\0' ||
+      errno == ERANGE || v < lo || v > hi)
+    throw BadValue{expected};
+  return v;
+}
+
+inline double parse_pct(const char* arg) {
+  char* end = nullptr;
+  const double v = std::strtod(arg, &end);
+  if (end == arg || *end != '\0' || !(v >= 0.0 && v <= 100.0))  // NaN too
+    throw BadValue{"0..100"};
+  return v;
+}
+
+template <typename T>
+T parse_name(const char* arg,
+             std::initializer_list<std::pair<const char*, T>> names) {
+  for (const auto& [name, v] : names)
+    if (std::strcmp(arg, name) == 0) return v;
+  throw BadValue{};
+}
+
+// --fault-link-down a:b@cycle+N — the directed link from node a toward
+// adjacent node b goes down at `cycle` for N cycles.
+inline FaultConfig::NodeLinkDown parse_link_down(const char* arg) {
+  const BadValue bad{"a:b@cycle+N"};
+  FaultConfig::NodeLinkDown nd;
+  char* p = nullptr;
+  nd.a = std::uint32_t(std::strtoul(arg, &p, 10));
+  if (p == arg || *p != ':') throw bad;
+  const char* q = p + 1;
+  nd.b = std::uint32_t(std::strtoul(q, &p, 10));
+  if (p == q || *p != '@') throw bad;
+  q = p + 1;
+  nd.down = Cycle(std::strtoull(q, &p, 10));
+  if (p == q || *p != '+') throw bad;
+  q = p + 1;
+  nd.len = Cycle(std::strtoull(q, &p, 10));
+  if (p == q || *p != '\0' || nd.len == 0 || nd.a == nd.b) throw bad;
+  return nd;
+}
+
+// --fault-node-down n@cycle[+N] — node n crashes at `cycle`; with +N it
+// recovers N cycles later, without it the crash is permanent.
+inline FaultConfig::NodeDown parse_node_down(const char* arg) {
+  const BadValue bad{"n@cycle[+N]"};
+  FaultConfig::NodeDown nd;
+  char* p = nullptr;
+  nd.node = std::uint32_t(std::strtoul(arg, &p, 10));
+  if (p == arg || *p != '@') throw bad;
+  const char* q = p + 1;
+  nd.down = Cycle(std::strtoull(q, &p, 10));
+  if (p == q) throw bad;
+  if (*p == '+') {
+    q = p + 1;
+    const Cycle len = Cycle(std::strtoull(q, &p, 10));
+    if (p == q || *p != '\0' || len == 0) throw bad;
+    nd.up = nd.down + len;
+  } else if (*p != '\0') {
+    throw bad;
+  }
+  return nd;
+}
+
+// --fault-kinds data,ack,... — seeded perturbations apply only to the
+// listed message kinds.
+inline std::uint32_t parse_kinds(const char* arg) {
+  static constexpr const char* kNames[] = {
+      "gets", "getx", "upgrade", "inval",   "ack",    "data",
+      "writeback", "hint", "pagebulk", "nack", "rebuild"};
+  static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
+                std::size_t(MsgKind::kCount));
+  std::uint32_t mask = 0;
+  for (const std::string& name : split_list(arg)) {
+    const auto* k = std::find(std::begin(kNames), std::end(kNames), name);
+    if (k == std::end(kNames))
+      throw BadValue{
+          "a comma list of gets|getx|upgrade|inval|ack|data|writeback|"
+          "hint|pagebulk|nack|rebuild"};
+    mask |= 1u << (k - std::begin(kNames));
+  }
+  return mask;
+}
+
+// --apps a,b,... — a non-empty list of catalog workloads.
+inline std::vector<std::string> parse_apps(const char* arg) {
+  std::vector<std::string> apps = split_list(arg);
+  const auto& known = all_workloads();
+  for (const std::string& app : apps) {
+    if (std::find(known.begin(), known.end(), app) != known.end()) continue;
+    std::string expected = "a comma list of";
+    for (const std::string& k : known)
+      expected += (&k == &known.front() ? " " : "|") + k;
+    throw BadValue{expected};
+  }
+  return apps;
+}
+
+// Table order is replay order (see Options::apply).
+inline const Flag kFlags[] = {
+    {"--paper", nullptr, "the paper's Table-2 input sizes (slow)", kRunFlags,
+     [](Options& o, const char*) { o.scale = Scale::kPaper; }, nullptr},
+    {"--tiny", nullptr, "smoke-test input sizes (seconds)", kRunFlags,
+     [](Options& o, const char*) { o.scale = Scale::kTiny; }, nullptr},
+    {"--apps", "a,b,...", "workloads to run (default: the seven SPLASH-2 apps)",
+     kRunFlags, [](Options& o, const char* a) { o.apps = parse_apps(a); },
+     nullptr},
+    {"--jobs", "N", "sweep worker threads (0, the default: one per hardware "
+     "thread)", kRunFlags,
+     [](Options& o, const char* a) {
+       o.jobs = unsigned(parse_uint(
+           a, 0, 4096, "a worker count; 0 = one per hardware thread"));
+       if (o.jobs == 0) o.jobs = ThreadPool::hardware_jobs();
+     },
+     nullptr},
+    {"--json", "FILE", "write the results as JSON records", 0,
+     [](Options& o, const char* a) { o.json_path = a; }, nullptr},
+    {"--table-only", nullptr, "print the input table, skip the sweep", 0,
+     [](Options& o, const char*) { o.table_only = true; }, nullptr},
+    {"--ks", "k,k,...", "adaptive competitive constants (default 1,4,16)", 0,
+     [](Options& o, const char* a) {
+       o.ks.clear();
+       for (const std::string& k : split_list(a))
+         o.ks.push_back(std::uint32_t(parse_uint(
+             k.c_str(), 1, 1u << 20,
+             "a comma list of positive competitive constants, e.g. 1,4,16")));
+     },
+     nullptr},
+    {"--nodes", "N", "machine size in nodes", kConfigFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.nodes = std::uint32_t(
+           parse_uint(a, 1, 1u << 16, "a node count (1..65536)"));
+     }},
+    {"--cpus-per-node", "N", "CPUs per node", kConfigFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.cpus_per_node =
+           std::uint32_t(parse_uint(a, 1, 1u << 10, "a per-node cpu count"));
+     }},
+    {"--dir-scheme", "full|limited|coarse|auto",
+     "directory sharer sets (auto: full map up to 64 nodes)", kConfigFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.dir_scheme = parse_name<DirScheme>(
+           a,
+           {{"full", DirScheme::kFullMap}, {"full-map", DirScheme::kFullMap},
+            {"limited", DirScheme::kLimitedPtr},
+            {"limited-ptr", DirScheme::kLimitedPtr},
+            {"coarse", DirScheme::kCoarse},
+            {"coarse-vector", DirScheme::kCoarse},
+            {"auto", DirScheme::kAuto}});
+     }},
+    {"--fabric", "mesh|torus|ni", "interconnect backend", kConfigFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.fabric = parse_name<FabricKind>(
+           a,
+           {{"mesh", FabricKind::kMesh2d}, {"mesh-2d", FabricKind::kMesh2d},
+            {"torus", FabricKind::kTorus2d},
+            {"torus-2d", FabricKind::kTorus2d},
+            {"ni", FabricKind::kNiConstant},
+            {"ni-constant", FabricKind::kNiConstant}});
+     }},
+    {"--link-bw", "N", "mesh/torus link bytes/cycle (0: no link contention)",
+     kConfigFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.timing.mesh_link_bytes_per_cycle = std::uint32_t(
+           parse_uint(a, 0, ~std::uint32_t(0),
+                      "bytes/cycle; 0 disables link contention"));
+     }},
+    {"--policy", "default|none|migrep|rnuma|adaptive",
+     "page-op decision engine (default: the system's own)", kConfigFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.policy = parse_name<PolicyKind>(
+           a,
+           {{"default", PolicyKind::kDefault}, {"none", PolicyKind::kNone},
+            {"migrep", PolicyKind::kMigRep}, {"rnuma", PolicyKind::kRNuma},
+            {"adaptive", PolicyKind::kAdaptive}});
+     }},
+    {"--adaptive-k", "N", "adaptive engine's competitive constant",
+     kConfigFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.timing.adaptive_k = std::uint32_t(
+           parse_uint(a, 1, 1u << 20, "a positive competitive constant"));
+     }},
+    // Before the rates: its 1% default drop rate yields to
+    // --fault-drop-pct wherever that appears on the command line.
+    {"--fault-seed", "N", "enable seeded faults (drop rate defaults to 1%)",
+     kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.seed = parse_uint(a, 0, ~std::uint64_t(0), "a seed");
+       sc.faults.drop_pct = 1.0;
+     }},
+    {"--fault-drop-pct", "P", "% of messages dropped", kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) { sc.faults.drop_pct = parse_pct(a); },
+     true},
+    {"--fault-dup-pct", "P", "% of messages duplicated", kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) { sc.faults.dup_pct = parse_pct(a); },
+     true},
+    {"--fault-delay-pct", "P", "% of messages delayed", kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.delay_pct = parse_pct(a);
+     },
+     true},
+    {"--fault-delay-cycles", "C", "extra wire cycles of a delayed message",
+     kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.delay_cycles =
+           Cycle(parse_uint(a, 1, ~std::uint64_t(0), "extra cycles > 0"));
+     },
+     true},
+    {"--fault-link-downs", "K", "random directed link outages", kFaultFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.rand_link_downs =
+           std::uint32_t(parse_uint(a, 0, 1u << 16, "an outage count"));
+     },
+     true},
+    {"--fault-link-down", "a:b@cycle+N",
+     "link a->b down for N cycles (repeatable; needs no seed)", kFaultFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.node_link_downs.push_back(parse_link_down(a));
+     }},
+    {"--fault-node-downs", "K", "random node crash windows", kFaultFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.rand_node_downs =
+           std::uint32_t(parse_uint(a, 0, 1u << 16, "a crash count"));
+     },
+     true},
+    {"--fault-node-down", "n@cycle[+N]",
+     "node n crashes, for good without +N (repeatable; needs no seed)",
+     kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.node_downs.push_back(parse_node_down(a));
+     }},
+    {"--fault-kinds", "k,k,...", "message kinds seeded faults may hit",
+     kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.faults.fault_kinds = parse_kinds(a);
+     },
+     true},
+    {"--fault-retry-base", "C", "recovery timeout base, cycles", kFaultFlags,
+     nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.timing.fault_retry_base =
+           Cycle(parse_uint(a, 1, ~std::uint64_t(0), "cycles > 0"));
+     }},
+    {"--fault-retry-max", "A", "recovery retry budget", kFaultFlags, nullptr,
+     [](SystemConfig& sc, const char* a) {
+       sc.timing.fault_retry_max_attempts =
+           std::uint32_t(parse_uint(a, 1, 64, "1..64 attempts"));
+     }},
+};
+
+inline bool Options::given(std::string_view flag) const {
+  return std::any_of(args.begin(), args.end(),
+                     [&](const auto& a) { return a.first->name == flag; });
+}
+
+inline void Options::apply(SystemConfig& sc) const {
+  for (const Flag& f : kFlags)
+    for (const auto& [g, value] : args)
+      if (g == &f && f.set_system != nullptr) f.set_system(sc, value.c_str());
+}
+
+// Parse argv against the entries in `groups` plus those in `names`.
+// Anything else exits 2 naming it, so a misspelt, retired or foreign
+// flag cannot silently run a different experiment than the command
+// line asks for; a bad operand exits 2 naming what was expected.
+inline Options parse(int argc, char** argv, unsigned groups,
+                     std::initializer_list<std::string_view> names = {}) {
+  const auto takes = [&](const Flag& f) {
+    return (f.group & groups) != 0 ||
+           std::find(names.begin(), names.end(), f.name) != names.end();
+  };
   Options o;
-  SystemFlagParser sys(o);
   for (int i = 1; i < argc; ++i) {
-    if (sys.consume(argc, argv, i)) continue;
-    const char* flag = argv[i];
-    const auto value = [&] {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--help") == 0) {
+      std::printf("usage: %s%s\n", argv[0],
+                  groups != 0 || names.size() != 0 ? " [flag...]" : "");
+      for (const Flag& f : kFlags)
+        if (takes(f))
+          std::printf("  %s%s%s\n      %s\n", f.name, f.value ? " " : "",
+                      f.value ? f.value : "", f.help);
+      std::exit(0);
+    }
+    const Flag* f = nullptr;
+    for (const Flag& e : kFlags)
+      if (std::strcmp(arg, e.name) == 0 && takes(e)) f = &e;
+    if (f == nullptr) {
+      std::fprintf(stderr, "unknown flag '%s' (see --help)\n", arg);
+      std::exit(2);
+    }
+    const char* value = "";
+    if (f->value != nullptr) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
+        std::fprintf(stderr, "missing value for %s\n", f->name);
         std::exit(2);
       }
-      return argv[++i];
-    };
-    if (std::strcmp(flag, "--paper") == 0) {
-      o.scale = Scale::kPaper;
-    } else if (std::strcmp(flag, "--tiny") == 0) {
-      o.scale = Scale::kTiny;
-    } else if (std::strcmp(flag, "--json") == 0) {
-      o.json_path = value();
-    } else if (std::strcmp(flag, "--jobs") == 0) {
-      const char* arg = value();
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(arg, &end, 10);
-      if (end == arg || *end != '\0' || v > 4096) {
-        std::fprintf(stderr,
-                     "bad --jobs '%s' (expected a worker count; 0 = one "
-                     "per hardware thread)\n",
-                     arg);
-        std::exit(2);
+      value = argv[++i];
+    }
+    try {
+      if (f->set_options != nullptr) {
+        f->set_options(o, value);
+      } else {
+        SystemConfig checked;  // system flags are checked now, applied later
+        f->set_system(checked, value);
       }
-      o.jobs = unsigned(v);
-    } else if (std::strcmp(flag, "--apps") == 0) {
-      o.apps.clear();
-      std::string list = value();
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        o.apps.push_back(list.substr(pos, comma - pos));
-        pos = comma + 1;
-      }
-    } else {
-      const ExtraFlag* x = nullptr;
-      for (const ExtraFlag& e : extra)
-        if (std::strcmp(flag, e.name) == 0) x = &e;
-      if (x == nullptr) {
-        std::fprintf(stderr, "unknown flag '%s'\n", flag);
-        std::exit(2);
-      }
-      if (x->takes_value) value();
+    } catch (const BadValue& e) {
+      std::fprintf(stderr, "bad %s '%s' (expected %s)\n", f->name, value,
+                   e.expected.empty() ? f->value : e.expected.c_str());
+      std::exit(2);
+    }
+    o.args.emplace_back(f, value);
+  }
+  for (const auto& [f, value] : o.args) {
+    if (f->seeded && !o.given("--fault-seed")) {
+      std::fprintf(stderr, "%s needs --fault-seed\n", f->name);
+      std::exit(2);
     }
   }
   return o;
@@ -401,9 +438,10 @@ inline const char* scale_name(Scale s) {
   }
 }
 
-// Run `systems` x `apps`, normalize each app's row against a perfect
-// CC-NUMA run of the same app, and return series keyed like the paper's
-// figures (values = normalized execution time).
+// Run `systems` x the selected apps, normalize each app's row against a
+// perfect CC-NUMA run of the same app, and return series keyed like the
+// paper's figures (values = normalized execution time). The system flags
+// apply to every run, baselines included.
 struct NormalizedGrid {
   std::vector<std::string> apps;
   std::vector<Series> series;        // one per system
@@ -413,21 +451,21 @@ struct NormalizedGrid {
 
 inline NormalizedGrid run_normalized(
     const std::vector<std::pair<std::string, RunSpec>>& systems,
-    const std::vector<std::string>& apps, Scale scale, unsigned jobs = 0) {
+    const Options& opt) {
+  const std::vector<std::string>& apps = opt.apps;
   std::vector<RunSpec> specs;
-  for (const auto& app : apps) {
-    RunSpec base = paper_spec(SystemKind::kPerfectCcNuma, app, scale);
-    specs.push_back(base);
-  }
+  for (const auto& app : apps)
+    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
   for (const auto& [name, proto] : systems) {
     for (const auto& app : apps) {
       RunSpec s = proto;
       s.workload = app;
-      s.scale = scale;
+      s.scale = opt.scale;
+      opt.apply(s.system);
       specs.push_back(s);
     }
   }
-  auto results = run_matrix(specs, jobs);
+  auto results = run_matrix(specs, opt.jobs);
 
   NormalizedGrid grid;
   grid.apps = apps;
@@ -535,7 +573,7 @@ inline void print_link_table(const std::vector<std::string>& apps,
 inline void write_traffic_json(const std::string& path, const char* bench,
                                const std::vector<std::string>& apps,
                                const std::vector<ResultColumn>& columns,
-                               unsigned jobs = 1) {
+                               unsigned jobs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -647,7 +685,7 @@ inline void print_throughput_summary(const std::vector<RunResult>& results,
       "%.0f refs/s/run avg, wall %.2fs (jobs=%u, cpu %.2fs)\n",
       results.size(), double(refs) / 1e6,
       run_seconds > 0 ? double(refs) / run_seconds : 0.0, sweep_wall_seconds,
-      jobs == 0 ? ThreadPool::hardware_jobs() : jobs, run_seconds);
+      jobs, run_seconds);
 }
 
 inline void print_geomean_row(const NormalizedGrid& grid) {

@@ -21,9 +21,10 @@
 // machine size), and re-touches the re-homed pages after recovery so
 // check_coherence() sees the post-rebuild directory.
 //
-// Flags (bench_common SystemFlagParser): --nodes/--fabric pin one axis
-// value; --fault-kinds etc. shape the seeded scenarios; --json FILE
-// emits one record per cell for CI archival.
+// Flags (--help lists them): --nodes/--fabric pin one axis value; each
+// cell's fault plan is its scenario's, seeded by --fault-seed (default
+// 42) and masked by --fault-kinds; --json FILE emits one record per
+// cell for CI archival.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -96,18 +97,15 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
   return out;
 }
 
-CellResult run_cell(const Options& opt, std::uint32_t nodes,
-                    FabricKind fabric, Scenario sc) {
-  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
-  opt.apply(cfg);
+CellResult run_cell(const SystemConfig& base, std::uint64_t seed,
+                    std::uint32_t nodes, FabricKind fabric, Scenario sc) {
+  SystemConfig cfg = base;
   cfg.nodes = nodes;
-  cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
-  // No decision policy: policy page ops would race the crash schedule
-  // and blur the recovery traffic this sweep exists to measure.
-  cfg.policy = PolicyKind::kNone;
+  cfg.faults = FaultConfig{};
+  cfg.faults.fault_kinds = base.faults.fault_kinds;
   if (has_outages(sc)) {
-    cfg.faults.seed = opt.fault_seed_set ? opt.fault_seed : 42;
+    cfg.faults.seed = seed;
     cfg.faults.drop_pct = 2.0;
     cfg.faults.dup_pct = 1.0;
     cfg.faults.delay_pct = 2.0;
@@ -181,8 +179,8 @@ CellResult run_cell(const Options& opt, std::uint32_t nodes,
   return out;
 }
 
-void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                unsigned jobs) {
+// Cells run one at a time, hence "jobs": 1.
+void write_json(const std::string& path, const std::vector<CellResult>& cells) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -205,7 +203,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         "\"reroutes\": %llu, \"hard_errors\": %llu,\n"
         "   \"crash_drops\": %llu, \"rehomes\": %llu, \"dir_rebuilds\": "
         "%llu, \"data_losses\": %llu,\n"
-        "   \"wall_seconds\": %.4f, \"jobs\": %u}",
+        "   \"wall_seconds\": %.4f, \"jobs\": 1}",
         i == 0 ? "" : ",\n", c.nodes, dsm::to_string(c.fabric),
         to_string(c.scenario), static_cast<unsigned long long>(c.cycles),
         static_cast<unsigned long long>(t.bytes_of(TrafficClass::kData)),
@@ -224,30 +222,35 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         static_cast<unsigned long long>(fs.crash_drops),
         static_cast<unsigned long long>(fs.rehomes),
         static_cast<unsigned long long>(fs.dir_rebuilds),
-        static_cast<unsigned long long>(fs.data_losses), c.wall_seconds,
-        jobs);
+        static_cast<unsigned long long>(fs.data_losses), c.wall_seconds);
   }
   std::fprintf(f, "\n]\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
 
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt =
+      parse(argc, argv, 0,
+            {"--nodes", "--fabric", "--link-bw", "--dir-scheme",
+             "--fault-seed", "--fault-kinds", "--fault-retry-base",
+             "--fault-retry-max", "--json"});
+  // One CPU per node (the pattern names each node's CPU by the node id)
+  // and no decision policy: policy page ops would race the crash
+  // schedule and blur the recovery traffic this sweep exists to measure.
+  SystemConfig base = SystemConfig::base(SystemKind::kCcNuma);
+  base.cpus_per_node = 1;
+  base.policy = PolicyKind::kNone;
+  opt.apply(base);
+  const std::uint64_t seed = opt.given("--fault-seed") ? base.faults.seed : 42;
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256};
-  if (opt.nodes != 0) node_counts = {opt.nodes};
+  if (opt.given("--nodes")) node_counts = {base.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
+  if (opt.given("--fabric")) fabrics = {base.fabric};
 
   std::printf(
       "=== Chaos-at-scale sweep: %u pages/home, crash windows "
@@ -262,7 +265,7 @@ int main(int argc, char** argv) {
   for (std::uint32_t nodes : node_counts) {
     for (FabricKind fabric : fabrics) {
       for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s) {
-        CellResult c = run_cell(opt, nodes, fabric, Scenario(s));
+        CellResult c = run_cell(base, seed, nodes, fabric, Scenario(s));
         const TrafficBreakdown tr = c.stats.traffic_total();
         t.add_row()
             .cell(std::uint64_t(c.nodes))
@@ -329,6 +332,6 @@ int main(int argc, char** argv) {
       ok ? "yes" : "NO — BUG");
 
   if (!opt.json_path.empty())
-    write_json(opt.json_path, cells, opt.resolved_jobs());
+    write_json(opt.json_path, cells);
   return ok ? 0 : 1;
 }

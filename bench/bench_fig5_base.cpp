@@ -14,11 +14,11 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 5: normalized execution time (vs perfect CC-NUMA) ===\n"
       "scale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   const std::vector<std::pair<std::string, RunSpec>> systems = {
       {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       {"R-NUMA-Inf", paper_spec(SystemKind::kRNumaInf, "")},
   };
   SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt.apps, opt.scale, opt.jobs);
+  NormalizedGrid grid = run_normalized(systems, opt);
   std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
   print_geomean_row(grid);
   print_throughput_summary(grid.results, timer.seconds(), opt.jobs);

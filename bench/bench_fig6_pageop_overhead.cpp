@@ -12,11 +12,11 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 6: fast vs slow page operations (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   RunSpec migrep_fast = paper_spec(SystemKind::kCcNumaMigRep, "");
   RunSpec migrep_slow = migrep_fast;
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       {"R-NUMA-Slow", rnuma_slow},
   };
   SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt.apps, opt.scale, opt.jobs);
+  NormalizedGrid grid = run_normalized(systems, opt);
   std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
   print_geomean_row(grid);
   print_throughput_summary(grid.results, timer.seconds(), opt.jobs);

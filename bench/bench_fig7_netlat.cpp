@@ -13,12 +13,7 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
-  std::printf(
-      "=== Figure 7: 4x network latency (remote:local = 16), normalized to "
-      "perfect CC-NUMA at the same latency ===\nscale: %s   fabric: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
-      to_string(opt.fabric));
+  Options opt = parse(argc, argv, kSweepFlags, {"--json"});
 
   const TimingConfig slow_net = TimingConfig::long_latency();
   auto with_latency = [&](SystemKind k) {
@@ -50,6 +45,11 @@ int main(int argc, char** argv) {
       specs.push_back(s);
     }
   }
+  const FabricKind fabric = specs.front().system.fabric;
+  std::printf(
+      "=== Figure 7: 4x network latency (remote:local = 16), normalized to "
+      "perfect CC-NUMA at the same latency ===\nscale: %s   fabric: %s\n\n",
+      scale_name(opt.scale), to_string(fabric));
   SweepTimer timer;
   auto results = run_matrix(specs, opt.jobs);
 
@@ -91,11 +91,11 @@ int main(int argc, char** argv) {
 
   // On a routed fabric the latency sweep also exercises the link-level
   // router contention: show where the queueing went.
-  if (opt.routed_fabric()) print_link_table(opt.apps, columns);
+  if (fabric != FabricKind::kNiConstant) print_link_table(opt.apps, columns);
 
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
     write_traffic_json(opt.json_path, "fig7_netlat", opt.apps, columns,
-                       opt.resolved_jobs());
+                       opt.jobs);
   return 0;
 }

@@ -13,11 +13,11 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 8: R-NUMA + MigRep integration (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   RunSpec half = paper_spec(SystemKind::kRNuma, "");
   half.system.page_cache_bytes = 1200 * 1024;  // 1.2 MB
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       {"R-NUMA", paper_spec(SystemKind::kRNuma, "")},
   };
   SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt.apps, opt.scale, opt.jobs);
+  NormalizedGrid grid = run_normalized(systems, opt);
   std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
   print_geomean_row(grid);
   print_throughput_summary(grid.results, timer.seconds(), opt.jobs);

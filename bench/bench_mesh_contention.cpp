@@ -47,12 +47,8 @@ struct SweepPoint {
 Addr requester_page_addr(unsigned i) { return kHeapBase + Addr(i) * kPageBytes; }
 
 // Run one (model, fan-in) cell; optionally dump the busiest links.
-SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
+SweepPoint run_cell(SystemConfig cfg, std::uint32_t link_bw, unsigned fanin,
                     bool dump_links) {
-  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
-  cfg.nodes = kNodes;
-  cfg.cpus_per_node = 1;
-  cfg.fabric = fabric;
   cfg.timing.mesh_link_bytes_per_cycle = link_bw;
 
   SweepPoint out;
@@ -144,11 +140,7 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
 // reply only queues at the home's send NI; under the link model it
 // also waits out the bulk's link occupancy — the gather cost moves
 // from the edge into the fabric.
-Cycle run_bulk_probe(FabricKind fabric, std::uint32_t link_bw) {
-  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
-  cfg.nodes = kNodes;
-  cfg.cpus_per_node = 1;
-  cfg.fabric = fabric;
+Cycle run_bulk_probe(SystemConfig cfg, std::uint32_t link_bw) {
   cfg.timing.mesh_link_bytes_per_cycle = link_bw;
   Stats stats(kNodes);
   auto sys = make_system(cfg, &stats);
@@ -181,27 +173,27 @@ bool same_bytes(const Stats& a, const Stats& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
+  cfg.nodes = kNodes;
+  cfg.cpus_per_node = 1;
+  parse(argc, argv, 0, {"--fabric", "--link-bw"}).apply(cfg);
   // This bench compares wire models on a routed fabric; default to the
   // mesh when the generic default (ni-constant) is still selected.
-  const FabricKind fabric = opt.routed_fabric() ? opt.fabric
-                                                : FabricKind::kMesh2d;
-  const std::uint32_t link_bw = opt.link_bw != Options::kLinkBwUnset
-                                    ? opt.link_bw
-                                    : TimingConfig{}.mesh_link_bytes_per_cycle;
+  if (cfg.fabric == FabricKind::kNiConstant) cfg.fabric = FabricKind::kMesh2d;
+  const std::uint32_t link_bw = cfg.timing.mesh_link_bytes_per_cycle;
   std::printf(
       "=== Mesh link contention: hot-home fan-in sweep ===\n"
       "fabric: %s   grid: 4x4   home: node %u   rounds: %u   "
       "link bandwidth: %u B/cycle\n\n",
-      to_string(fabric), kHome, kRounds, link_bw);
+      to_string(cfg.fabric), kHome, kRounds, link_bw);
 
   const std::vector<unsigned> fanins = {1, 2, 4, 8, 15};
   Table t({"fan-in", "model", "data KB", "ctl KB", "mean lat", "recvNI busy",
            "maxQ home-in", "maxQ home-out", "maxQ any"});
   bool bytes_ok = true;
   for (unsigned k : fanins) {
-    SweepPoint ni = run_cell(fabric, /*link_bw=*/0, k, /*dump_links=*/false);
-    SweepPoint ln = run_cell(fabric, link_bw, k,
+    SweepPoint ni = run_cell(cfg, /*link_bw=*/0, k, /*dump_links=*/false);
+    SweepPoint ln = run_cell(cfg, link_bw, k,
                              /*dump_links=*/k == fanins.back());
     bytes_ok = bytes_ok && same_bytes(ni.stats, ln.stats);
     for (const SweepPoint* p : {&ni, &ln}) {
@@ -226,9 +218,9 @@ int main(int argc, char** argv) {
 
   Table probe({"model", "probe latency (cycles)"});
   probe.add_row().cell("ni-only").cell(
-      std::uint64_t(run_bulk_probe(fabric, 0)));
+      std::uint64_t(run_bulk_probe(cfg, 0)));
   probe.add_row().cell("link").cell(
-      std::uint64_t(run_bulk_probe(fabric, link_bw)));
+      std::uint64_t(run_bulk_probe(cfg, link_bw)));
   std::printf(
       "block fetch racing a page-bulk copy over the same home link:\n%s\n",
       probe.to_string().c_str());

@@ -11,10 +11,9 @@
 // to the two fixed policies on each sharing pattern, and how k trades
 // page-op bytes against data/control bytes.
 //
-// Flags: the common set (--paper/--tiny, --apps, --fabric, --link-bw,
-// --json FILE) plus --ks 1,2,4 to pick the sweep points.
+// Flags: the sweep set, --json FILE, and --ks 1,2,4 to pick the sweep
+// points (--help lists them).
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.hpp"
 #include "net/message.hpp"
@@ -33,46 +32,10 @@ std::string ops_cell(const RunResult& r) {
   return buf;
 }
 
-std::vector<std::uint32_t> parse_ks(int argc, char** argv) {
-  std::vector<std::uint32_t> ks = {1, 4, 16};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ks") == 0 && i + 1 < argc) {
-      ks.clear();
-      std::string list = argv[i + 1];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        const std::string tok = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-        if (end == tok.c_str() || *end != '\0' || v == 0 || v > 1u << 20) {
-          std::fprintf(stderr,
-                       "bad --ks element '%s' (expected positive "
-                       "competitive constants, e.g. --ks 1,4,16)\n",
-                       tok.c_str());
-          std::exit(2);
-        }
-        ks.push_back(std::uint32_t(v));
-        pos = comma + 1;
-      }
-    }
-  }
-  return ks;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv, {{"--ks", true}});
-  const std::vector<std::uint32_t> ks = parse_ks(argc, argv);
-
-  std::printf(
-      "=== Policy sweep: MigRep vs. R-NUMA vs. traffic-competitive "
-      "adaptive ===\nscale: %s   fabric: %s   page-move cost: %u bytes\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
-      to_string(opt.fabric),
-      unsigned(Message::page_bulk(0, 0, 0, kBlocksPerPage).total_bytes()));
+  Options opt = parse(argc, argv, kSweepFlags, {"--json", "--ks"});
 
   // Column layout per app: MigRep, R-NUMA, then one adaptive run per k.
   struct PolicyPoint {
@@ -85,7 +48,7 @@ int main(int argc, char** argv) {
       {"MigRep", SystemKind::kCcNumaMigRep, PolicyKind::kDefault, 0},
       {"R-NUMA", SystemKind::kRNuma, PolicyKind::kDefault, 0},
   };
-  for (std::uint32_t k : ks) {
+  for (std::uint32_t k : opt.ks) {
     char name[32];
     std::snprintf(name, sizeof name, "adapt k%u", k);
     points.push_back({name, SystemKind::kRNuma, PolicyKind::kAdaptive, k});
@@ -94,13 +57,17 @@ int main(int argc, char** argv) {
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps) {
     for (const auto& p : points) {
-      RunSpec s = paper_spec(p.kind, app, opt.scale);
-      opt.apply(s.system);
+      RunSpec s = opt.spec(p.kind, app);
       s.system.policy = p.policy;
       if (p.k != 0) s.system.timing.adaptive_k = p.k;
       specs.push_back(s);
     }
   }
+  std::printf(
+      "=== Policy sweep: MigRep vs. R-NUMA vs. traffic-competitive "
+      "adaptive ===\nscale: %s   fabric: %s   page-move cost: %u bytes\n\n",
+      scale_name(opt.scale), to_string(specs.front().system.fabric),
+      unsigned(Message::page_bulk(0, 0, 0, kBlocksPerPage).total_bytes()));
   SweepTimer timer;
   auto results = run_matrix(specs, opt.jobs);
 
@@ -151,6 +118,6 @@ int main(int argc, char** argv) {
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
     write_traffic_json(opt.json_path, "policy_sweep", opt.apps, columns,
-                       opt.resolved_jobs());
+                       opt.jobs);
   return 0;
 }

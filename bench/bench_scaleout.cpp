@@ -19,9 +19,9 @@
 //                      traffic (data bytes stay byte-identical across
 //                      schemes — overshoot never moves block payloads).
 //
-// Flags (bench_common SystemFlagParser): --nodes/--fabric/--dir-scheme
-// pin one axis value instead of sweeping it; --json FILE emits one
-// record per cell for CI archival.
+// Flags (--help lists them): --nodes/--fabric/--dir-scheme pin one axis
+// value instead of sweeping it; --link-bw and the --fault-* set shape
+// every cell; --json FILE emits one record per cell for CI archival.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -75,18 +75,13 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
 void print_hot_links(DsmSystem& sys, std::uint32_t nodes, FabricKind fabric,
                      DirScheme scheme);
 
-CellResult run_cell(const Options& opt, std::uint32_t nodes,
+CellResult run_cell(const SystemConfig& base, std::uint32_t nodes,
                     FabricKind fabric, DirScheme scheme,
                     bool dump_links) {
-  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
-  opt.apply(cfg);
+  SystemConfig cfg = base;
   cfg.nodes = nodes;
-  cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
   cfg.dir_scheme = scheme;
-  // No decision policy: page migration/replication would perturb the
-  // fixed sharing pattern and hide the scheme-only traffic delta.
-  cfg.policy = PolicyKind::kNone;
 
   CellResult out(nodes);
   out.nodes = nodes;
@@ -167,8 +162,8 @@ void print_hot_links(DsmSystem& sys, std::uint32_t nodes, FabricKind fabric,
               to_string(fabric), to_string(scheme), lt.to_string().c_str());
 }
 
-void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                unsigned jobs) {
+// Cells run one at a time, hence "jobs": 1.
+void write_json(const std::string& path, const std::vector<CellResult>& cells) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -190,7 +185,7 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         "\"dir_coarse_entries\": %llu,\n"
         "   \"dir_sharers_measured\": %llu, \"dir_sharer_bits_used\": %llu, "
         "\"dir_sharer_bits_full_map\": %llu,\n"
-        "   \"wall_seconds\": %.4f, \"jobs\": %u}",
+        "   \"wall_seconds\": %.4f, \"jobs\": 1}",
         i == 0 ? "" : ",\n", c.nodes, to_string(c.fabric),
         to_string(c.scheme), static_cast<unsigned long long>(c.cycles),
         static_cast<unsigned long long>(t.bytes_of(TrafficClass::kData)),
@@ -205,31 +200,34 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         static_cast<unsigned long long>(c.dir.sharers_measured),
         static_cast<unsigned long long>(c.dir.sharer_bits_used),
         static_cast<unsigned long long>(c.dir.sharer_bits_full_map),
-        c.wall_seconds, jobs);
+        c.wall_seconds);
   }
   std::fprintf(f, "\n]\n");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
 
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt =
+      parse(argc, argv, kFaultFlags,
+            {"--nodes", "--fabric", "--link-bw", "--dir-scheme", "--json"});
+  // One CPU per node (the pattern names each node's CPU by the node id)
+  // and no decision policy: page migration/replication would perturb
+  // the fixed sharing pattern and hide the scheme-only traffic delta.
+  SystemConfig base = SystemConfig::base(SystemKind::kCcNuma);
+  base.cpus_per_node = 1;
+  base.policy = PolicyKind::kNone;
+  opt.apply(base);
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256, 1024};
-  if (opt.nodes != 0) node_counts = {opt.nodes};
+  if (opt.given("--nodes")) node_counts = {base.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kNiConstant,
                                      FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
-  const bool scheme_pinned = opt.dir_scheme != DirScheme::kAuto;
+  if (opt.given("--fabric")) fabrics = {base.fabric};
+  const bool scheme_pinned = base.dir_scheme != DirScheme::kAuto;
 
   std::printf(
       "=== Scale-out directory sweep: %u pages/home, readers "
@@ -244,7 +242,7 @@ int main(int argc, char** argv) {
     for (FabricKind fabric : fabrics) {
       std::vector<DirScheme> schemes;
       if (scheme_pinned) {
-        schemes = {opt.dir_scheme};
+        schemes = {base.dir_scheme};
       } else {
         if (nodes <= 64) schemes.push_back(DirScheme::kFullMap);
         schemes.push_back(DirScheme::kLimitedPtr);
@@ -260,7 +258,7 @@ int main(int argc, char** argv) {
         const bool dump =
             fabric != FabricKind::kNiConstant &&
             nodes == node_counts.back() && scheme == schemes.back();
-        CellResult c = run_cell(opt, nodes, fabric, scheme, dump);
+        CellResult c = run_cell(base, nodes, fabric, scheme, dump);
         const TrafficBreakdown tr = c.stats.traffic_total();
         t.add_row()
             .cell(std::uint64_t(c.nodes))
@@ -336,6 +334,6 @@ int main(int argc, char** argv) {
       ok ? "yes" : "NO — BUG");
 
   if (!opt.json_path.empty())
-    write_json(opt.json_path, cells, opt.resolved_jobs());
+    write_json(opt.json_path, cells);
   return ok ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 // per-run simulator throughput and the end-to-end wall clock reported.
 // `--table-only` restores the old input-parameter listing alone.
 #include <cstdio>
-#include <cstring>
 
 #include "bench_common.hpp"
 
@@ -15,10 +14,7 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv, {{"--table-only", false}});
-  bool table_only = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--table-only") == 0) table_only = true;
+  Options opt = parse(argc, argv, kSweepFlags, {"--json", "--table-only"});
 
   std::printf("=== Table 2: applications and input data sets ===\n\n");
   Table t({"application", "paper input", "default (bench) input"});
@@ -32,7 +28,7 @@ int main(int argc, char** argv) {
   std::printf(
       "synthetic sharing-pattern micro-workloads (tests/examples): "
       "read_shared, migratory, producer_consumer\n");
-  if (table_only) return 0;
+  if (opt.table_only) return 0;
 
   // Full sweep: every SystemKind on every selected app.
   const std::vector<std::pair<std::string, SystemKind>> kinds = {
@@ -47,15 +43,12 @@ int main(int argc, char** argv) {
   };
   std::printf(
       "\n=== Full sweep: %zu systems x %zu apps (scale: %s, jobs: %u) ===\n\n",
-      kinds.size(), opt.apps.size(), scale_name(opt.scale),
-      opt.jobs == 0 ? ThreadPool::hardware_jobs() : opt.jobs);
+      kinds.size(), opt.apps.size(), scale_name(opt.scale), opt.jobs);
 
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps) {
     for (const auto& [name, kind] : kinds) {
-      RunSpec s = paper_spec(kind, app, opt.scale);
-      opt.apply(s.system);
-      specs.push_back(s);
+      specs.push_back(opt.spec(kind, app));
     }
   }
   SweepTimer timer;
@@ -88,7 +81,7 @@ int main(int argc, char** argv) {
       columns.push_back(column_of(kinds[k].first, results, rows));
     }
     write_traffic_json(opt.json_path, "table2_apps", opt.apps, columns,
-                       opt.resolved_jobs());
+                       opt.jobs);
   }
   return 0;
 }

@@ -22,23 +22,21 @@ std::string misses_cell(const RunResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
-  std::printf(
-      "=== Table 4: per-node page operations and remote misses ===\n"
-      "scale: %s   fabric: %s\n"
-      "(misses reported x1000, capacity/conflict in parens)\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
-      to_string(opt.fabric));
+  Options opt = parse(argc, argv, kSweepFlags, {"--json"});
 
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps) {
     for (SystemKind kind : {SystemKind::kCcNuma, SystemKind::kCcNumaMigRep,
                             SystemKind::kRNuma}) {
-      RunSpec s = paper_spec(kind, app, opt.scale);
-      opt.apply(s.system);
-      specs.push_back(s);
+      specs.push_back(opt.spec(kind, app));
     }
   }
+  const FabricKind fabric = specs.front().system.fabric;
+  std::printf(
+      "=== Table 4: per-node page operations and remote misses ===\n"
+      "scale: %s   fabric: %s\n"
+      "(misses reported x1000, capacity/conflict in parens)\n\n",
+      scale_name(opt.scale), to_string(fabric));
   SweepTimer timer;
   auto results = run_matrix(specs, opt.jobs);
 
@@ -75,11 +73,11 @@ int main(int argc, char** argv) {
       column_of("R-NUMA", results, rn_rows)};
   print_traffic_table(opt.apps, columns);
 
-  if (opt.routed_fabric()) print_link_table(opt.apps, columns);
+  if (fabric != FabricKind::kNiConstant) print_link_table(opt.apps, columns);
 
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
     write_traffic_json(opt.json_path, "table4_pageops", opt.apps, columns,
-                       opt.resolved_jobs());
+                       opt.jobs);
   return 0;
 }

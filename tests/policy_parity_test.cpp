@@ -12,9 +12,6 @@
 // them with a before/after pair of runs and say so in the commit.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
-
 #include "harness/runner.hpp"
 
 namespace dsm {
